@@ -33,6 +33,7 @@
 #include "persist/fs.h"
 #include "persist/journal.h"
 #include "persist/snapshot.h"
+#include "simd/kernels.h"
 #include "testing/temp_dir.h"
 #include "util/coding.h"
 #include "util/random.h"
@@ -585,6 +586,111 @@ TEST(IndexSerializeTest, UntrainedIvfRoundTrips) {
   ASSERT_TRUE(b.DeserializeFrom(blob).ok());
   EXPECT_FALSE(b.trained());
   EXPECT_EQ(b.size(), 0u);
+}
+
+// Populates one backend on a fixed seeded history that reaches every
+// piece of blob state: brute force gets non-slot ids after a Remove,
+// HNSW gets a tombstone rebuild followed by fresh tombstones, IVF gets
+// re-added ids (reassignments) and a removal.
+std::string PinnedIndexBlob(char backend, quant::Storage storage,
+                            index::Metric metric) {
+  constexpr size_t kDim = 8;
+  std::unique_ptr<index::VectorIndex> idx;
+  switch (backend) {
+    case 'B': {
+      idx = std::make_unique<index::BruteForceIndex>(kDim, metric, false,
+                                                     storage);
+      for (int i = 0; i < 40; ++i) {
+        SCCF_CHECK(idx->Add(i, MakeVec(kDim, i).data()).ok());
+      }
+      SCCF_CHECK(idx->Remove(5).ok());
+      for (int i : {100, 3, 101, 39}) {
+        SCCF_CHECK(idx->Add(i, MakeVec(kDim, 300 + i).data()).ok());
+      }
+      break;
+    }
+    case 'H': {
+      index::HnswIndex::Options opts;
+      opts.m = 6;
+      opts.ef_construction = 30;
+      opts.ef_search = 30;
+      auto h = std::make_unique<index::HnswIndex>(kDim, metric, opts, storage);
+      for (int i = 0; i < 70; ++i) {
+        SCCF_CHECK(h->Add(i, MakeVec(kDim, i).data()).ok());
+      }
+      for (int i = 0; i < 30; ++i) {  // crosses the rebuild bound once
+        SCCF_CHECK(h->Add(i, MakeVec(kDim, 400 + i).data()).ok());
+      }
+      for (int i : {40, 41, 42}) SCCF_CHECK(h->Remove(i).ok());
+      SCCF_CHECK(h->num_graph_nodes() > h->size());
+      idx = std::move(h);
+      break;
+    }
+    default: {
+      index::IvfFlatIndex::Options opts;
+      opts.nlist = 4;
+      opts.nprobe = 2;
+      auto ivf =
+          std::make_unique<index::IvfFlatIndex>(kDim, metric, opts, storage);
+      std::vector<float> train;
+      for (int i = 0; i < 32; ++i) {
+        const std::vector<float> v = MakeVec(kDim, 500 + i);
+        train.insert(train.end(), v.begin(), v.end());
+      }
+      SCCF_CHECK(ivf->Train(train, 32).ok());
+      for (int i = 0; i < 40; ++i) {
+        SCCF_CHECK(ivf->Add(i, MakeVec(kDim, i).data()).ok());
+      }
+      for (int i = 10; i < 20; ++i) {
+        SCCF_CHECK(ivf->Add(i, MakeVec(kDim, 700 + i).data()).ok());
+      }
+      SCCF_CHECK(ivf->Remove(12).ok());
+      idx = std::move(ivf);
+      break;
+    }
+  }
+  std::string blob;
+  idx->SerializeTo(&blob);
+  return blob;
+}
+
+// Pins the index blob format byte for byte: CRC-32 of SerializeTo for
+// every backend x storage x metric, under every SIMD variant this CPU
+// supports (kernel rounding differs per variant, and so do the stored
+// normalised rows and HNSW edges). A storage refactor that changes one
+// byte of any blob fails here.
+TEST(IndexSerializeTest, BlobFormatIsPinnedPerBackendStorageAndMetric) {
+  // [variant][backend B/H/I][storage fp32/sq8][metric cosine/ip]
+  constexpr uint32_t kCrc[3][3][2][2] = {
+      {{{0x2e3337bbu, 0xf31cb031u}, {0x7d3c0406u, 0x57436d45u}},    // scalar
+       {{0x36e603feu, 0x37d93315u}, {0x48d8ee79u, 0xc26cc179u}},
+       {{0xf17e0d1du, 0x2537ff72u}, {0x5c69d61cu, 0x07679766u}}},
+      {{{0x812332e3u, 0xf31cb031u}, {0x4d907d27u, 0x57436d45u}},    // avx2
+       {{0xc4ea1131u, 0x37d93315u}, {0x4c82acf9u, 0xc26cc179u}},
+       {{0xecf75040u, 0x2537ff72u}, {0xad32716eu, 0x07679766u}}},
+      {{{0x812332e3u, 0xf31cb031u}, {0x4d907d27u, 0x57436d45u}},    // avx512
+       {{0xc4ea1131u, 0x37d93315u}, {0x4c82acf9u, 0xc26cc179u}},
+       {{0xecf75040u, 0x2537ff72u}, {0xad32716eu, 0x07679766u}}}};
+  const simd::Variant active = simd::ActiveVariant();
+  for (simd::Variant v : {simd::Variant::kScalar, simd::Variant::kAvx2,
+                          simd::Variant::kAvx512}) {
+    if (!simd::VariantSupported(v)) continue;
+    ASSERT_TRUE(simd::ForceVariant(v).ok());
+    const char backends[] = {'B', 'H', 'I'};
+    for (int b = 0; b < 3; ++b) {
+      for (int s = 0; s < 2; ++s) {
+        for (int m = 0; m < 2; ++m) {
+          const std::string blob = PinnedIndexBlob(
+              backends[b], static_cast<quant::Storage>(s),
+              m == 0 ? index::Metric::kCosine : index::Metric::kInnerProduct);
+          EXPECT_EQ(Crc32(blob), kCrc[static_cast<int>(v)][b][s][m])
+              << simd::VariantName(v) << " backend " << backends[b]
+              << " storage " << s << " metric " << m;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(simd::ForceVariant(active).ok());
 }
 
 TEST(IndexSerializeTest, TruncationSweepRejectsEveryPrefix) {
