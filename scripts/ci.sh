@@ -40,6 +40,14 @@ cmake --preset release
 cmake --build --preset release -j "${JOBS}"
 ctest --preset release -L tier1
 
+# Serving benchmark build + harness tests: perfbench/ is its own CMake
+# project that compiles against the index, server and engine APIs, and
+# nothing else here builds it. --selftest builds the daemon and the
+# benchmark binary (Release, under .bench_build/) and runs the harness
+# tests, so an API break surfaces here rather than in a benchmark run.
+python3 perfbench/run.py --selftest
+echo "perfbench selftest: OK"
+
 # Benchmark smoke: the micro-kernel suite at minimal iteration budget,
 # to catch crashes/regressions in bench-only code paths. The target is
 # skipped at configure time when Google Benchmark is unavailable.

@@ -1,75 +1,31 @@
 #include "index/brute_force_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <utility>
 
-#include "simd/kernels.h"
 #include "util/coding.h"
 #include "util/thread_pool.h"
 
 namespace sccf::index {
 
-namespace {
-
-float Sum(const float* v, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += v[i];
-  return s;
-}
-
-}  // namespace
-
 BruteForceIndex::BruteForceIndex(size_t dim, Metric metric, bool parallel,
                                  quant::Storage storage)
-    : dim_(dim),
-      metric_(metric),
+    : metric_(metric),
       parallel_(parallel),
-      storage_(storage),
-      codes_(dim) {}
+      rows_(dim, storage, metric == Metric::kCosine) {}
 
 Status BruteForceIndex::Add(int id, const float* vec) {
   if (id < 0) return Status::InvalidArgument("id must be non-negative");
   auto it = slot_.find(id);
-  size_t s;
-  bool fresh = false;
   if (it != slot_.end()) {
-    s = it->second;
-  } else {
-    s = ids_.size();
-    fresh = true;
-    if (id != static_cast<int>(s)) ids_are_slots_ = false;
-    ids_.push_back(id);
-    if (storage_ == quant::Storage::kFp32) {
-      data_.resize(data_.size() + dim_);
-    }
-    slot_[id] = s;
-  }
-  if (storage_ == quant::Storage::kSq8) {
-    // Quantize the row the same way the fp32 path stores it: normalised
-    // first when the metric is cosine, so inner product on decoded rows
-    // equals cosine.
-    const float* src = vec;
-    std::vector<float> normed;
-    if (metric_ == Metric::kCosine) {
-      normed.resize(dim_);
-      simd::NormalizeCopy(vec, normed.data(), dim_);
-      src = normed.data();
-    }
-    if (fresh) {
-      codes_.Append(src);
-    } else {
-      codes_.Set(s, src);
-    }
+    rows_.Set(it->second, vec);
     return Status::OK();
   }
-  float* dst = data_.data() + s * dim_;
-  if (metric_ == Metric::kCosine) {
-    simd::NormalizeCopy(vec, dst, dim_);
-  } else {
-    std::copy(vec, vec + dim_, dst);
-  }
+  const size_t s = rows_.Append(vec);
+  if (id != static_cast<int>(s)) ids_are_slots_ = false;
+  ids_.push_back(id);
+  slot_[id] = s;
   return Status::OK();
 }
 
@@ -86,17 +42,9 @@ Status BruteForceIndex::Remove(int id) {
     // dropped.
     ids_[s] = ids_[last];
     slot_[ids_[s]] = s;
-    if (storage_ == quant::Storage::kFp32) {
-      std::copy(data_.begin() + last * dim_, data_.begin() + (last + 1) * dim_,
-                data_.begin() + s * dim_);
-    }
     ids_are_slots_ = false;
   }
-  if (storage_ == quant::Storage::kSq8) {
-    codes_.RemoveSwap(s);
-  } else {
-    data_.resize(last * dim_);
-  }
+  rows_.RemoveSwap(s);
   ids_.pop_back();
   slot_.erase(it);
   return Status::OK();
@@ -104,26 +52,15 @@ Status BruteForceIndex::Remove(int id) {
 
 IndexMemoryStats BruteForceIndex::memory_stats() const {
   IndexMemoryStats stats;
-  if (storage_ == quant::Storage::kSq8) {
-    stats.code_bytes = codes_.code_bytes();
-  } else {
-    stats.embedding_bytes = data_.size() * sizeof(float);
-  }
+  stats.embedding_bytes = rows_.fp32_bytes();
+  stats.code_bytes = rows_.code_bytes();
   return stats;
 }
 
 StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
     const float* query, size_t k, int exclude_id) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
-  std::vector<float> qnorm;
-  const float* q = query;
-  if (metric_ == Metric::kCosine) {
-    qnorm.resize(dim_);
-    simd::NormalizeCopy(query, qnorm.data(), dim_);
-    q = qnorm.data();
-  }
-  const float qsum = storage_ == quant::Storage::kSq8 ? Sum(q, dim_) : 0.0f;
-
+  const quant::RowStore::Query q = rows_.PrepareQuery(query);
   const size_t n = ids_.size();
 
   // Fast path: ids equal slots (the common case — SCCF inserts users
@@ -138,20 +75,14 @@ StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
         if (it != slot_.end()) exclude_row = it->second;
       }
       std::vector<std::pair<int, float>> top;
-      if (storage_ == quant::Storage::kSq8) {
-        simd::TopKDotI8(q, codes_.codes_data(), n, dim_,
-                        codes_.scales_data(), codes_.offsets_data(), qsum, k,
-                        exclude_row, &top);
-      } else {
-        simd::TopKDot(q, data_.data(), n, dim_, k, exclude_row, &top);
-      }
+      rows_.TopK(q, k, exclude_row, &top);
       std::vector<Neighbor> out;
       out.reserve(top.size());
       for (const auto& [row, score] : top) out.push_back({row, score});
       return out;
     }
     TopKAccumulator acc(k);
-    ScanRange(q, qsum, 0, n, exclude_id, &acc);
+    ScanRange(q, 0, n, exclude_id, &acc);
     return acc.Take();
   }
 
@@ -159,7 +90,7 @@ StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
   TopKAccumulator merged(k);
   ParallelForBlocked(0, n, [&](size_t lo, size_t hi) {
     TopKAccumulator local(k);
-    ScanRange(q, qsum, lo, hi, exclude_id, &local);
+    ScanRange(q, lo, hi, exclude_id, &local);
     std::vector<Neighbor> part = local.Take();
     std::lock_guard<std::mutex> lock(mu);
     for (const Neighbor& nb : part) merged.Offer(nb.id, nb.score);
@@ -167,7 +98,7 @@ StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
   return merged.Take();
 }
 
-void BruteForceIndex::ScanRange(const float* q, float qsum, size_t lo,
+void BruteForceIndex::ScanRange(const quant::RowStore::Query& q, size_t lo,
                                 size_t hi, int exclude_id,
                                 TopKAccumulator* acc) const {
   // Score a block of rows at a time through the batched kernel, then offer
@@ -177,16 +108,7 @@ void BruteForceIndex::ScanRange(const float* q, float qsum, size_t lo,
   float scores[kBlock];
   for (size_t s = lo; s < hi; s += kBlock) {
     const size_t len = std::min(kBlock, hi - s);
-    if (storage_ == quant::Storage::kSq8) {
-      simd::DotBatchI8(q, codes_.codes_data() + s * dim_, len, dim_, scores);
-      const float* scales = codes_.scales_data();
-      const float* offsets = codes_.offsets_data();
-      for (size_t j = 0; j < len; ++j) {
-        scores[j] = scales[s + j] * scores[j] + offsets[s + j] * qsum;
-      }
-    } else {
-      simd::DotBatch(q, data_.data() + s * dim_, len, dim_, scores);
-    }
+    rows_.ScoreBatch(q, s, len, scores);
     for (size_t j = 0; j < len; ++j) {
       if (ids_[s + j] == exclude_id) continue;
       acc->Offer(ids_[s + j], scores[j]);
@@ -205,19 +127,12 @@ void BruteForceIndex::ScanRange(const float* q, float qsum, size_t lo,
 // makes recovery bit-exact.
 void BruteForceIndex::SerializeTo(std::string* out) const {
   PutU8(out, 'B');
-  PutU8(out, static_cast<uint8_t>(storage_));
+  PutU8(out, static_cast<uint8_t>(storage()));
   PutU8(out, ids_are_slots_ ? 1 : 0);
-  PutFixed64(out, static_cast<uint64_t>(dim_));
+  PutFixed64(out, static_cast<uint64_t>(dim()));
   PutFixed64(out, static_cast<uint64_t>(ids_.size()));
   for (int id : ids_) PutI32(out, id);
-  if (storage_ == quant::Storage::kSq8) {
-    out->append(reinterpret_cast<const char*>(codes_.codes_data()),
-                ids_.size() * dim_);
-    PutFloats(out, codes_.scales_data(), ids_.size());
-    PutFloats(out, codes_.offsets_data(), ids_.size());
-  } else {
-    PutFloats(out, data_.data(), data_.size());
-  }
+  rows_.SerializeMatrix(out);
 }
 
 Status BruteForceIndex::DeserializeFrom(std::string_view in) {
@@ -229,12 +144,12 @@ Status BruteForceIndex::DeserializeFrom(std::string_view in) {
     return Status::InvalidArgument("not a brute-force index blob");
   }
   SCCF_RETURN_NOT_OK(reader.ReadU8(&storage));
-  if (storage != static_cast<uint8_t>(storage_)) {
+  if (storage != static_cast<uint8_t>(this->storage())) {
     return Status::InvalidArgument("index blob storage mode mismatch");
   }
   SCCF_RETURN_NOT_OK(reader.ReadU8(&ids_are_slots));
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&dim));
-  if (dim != dim_) {
+  if (dim != this->dim()) {
     return Status::InvalidArgument("index blob dim mismatch");
   }
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&count));
@@ -252,26 +167,14 @@ Status BruteForceIndex::DeserializeFrom(std::string_view in) {
     if (!slot.emplace(id, static_cast<size_t>(i)).second) {
       return Status::InvalidArgument("duplicate id in index blob");
     }
+    // The flag licenses Search to report slots as ids, so it must be true.
+    if (ids_are_slots != 0 && static_cast<uint64_t>(id) != i) {
+      return Status::InvalidArgument("index blob ids are not their slots");
+    }
     ids.push_back(id);
   }
-  std::vector<float> data;
-  quant::Sq8Store codes(dim_);
-  if (storage_ == quant::Storage::kSq8) {
-    std::string_view raw;
-    SCCF_RETURN_NOT_OK(
-        reader.ReadView(static_cast<size_t>(count) * dim_, &raw));
-    std::vector<float> scales, offsets;
-    SCCF_RETURN_NOT_OK(reader.ReadFloats(static_cast<size_t>(count), &scales));
-    SCCF_RETURN_NOT_OK(
-        reader.ReadFloats(static_cast<size_t>(count), &offsets));
-    const int8_t* code_rows = reinterpret_cast<const int8_t*>(raw.data());
-    for (uint64_t i = 0; i < count; ++i) {
-      codes.AppendEncoded(code_rows + i * dim_, {scales[i], offsets[i]});
-    }
-  } else {
-    SCCF_RETURN_NOT_OK(
-        reader.ReadFloats(static_cast<size_t>(count) * dim_, &data));
-  }
+  quant::RowStore rows = rows_.EmptyLike();
+  SCCF_RETURN_NOT_OK(rows.ReadMatrix(&reader, static_cast<size_t>(count)));
   if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes in index blob");
   }
@@ -279,8 +182,7 @@ Status BruteForceIndex::DeserializeFrom(std::string_view in) {
   ids_are_slots_ = ids_are_slots != 0;
   ids_ = std::move(ids);
   slot_ = std::move(slot);
-  data_ = std::move(data);
-  codes_ = std::move(codes);
+  rows_ = std::move(rows);
   return Status::OK();
 }
 

@@ -5,7 +5,6 @@
 #include <queue>
 #include <utility>
 
-#include "simd/kernels.h"
 #include "util/coding.h"
 #include "util/logging.h"
 
@@ -17,42 +16,15 @@ namespace {
 /// and tiny test graphs keep their exact historical structure.
 constexpr size_t kRebuildMinNodes = 64;
 
-float Sum(const float* v, size_t n) {
-  float s = 0.0f;
-  for (size_t i = 0; i < n; ++i) s += v[i];
-  return s;
-}
-
 }  // namespace
 
 HnswIndex::HnswIndex(size_t dim, Metric metric, Options options,
                      quant::Storage storage)
-    : dim_(dim),
-      metric_(metric),
+    : metric_(metric),
       options_(options),
-      storage_(storage),
-      rng_(options.seed) {
+      rng_(options.seed),
+      rows_(dim, storage, metric == Metric::kCosine) {
   SCCF_CHECK_GT(options_.m, 1u);
-}
-
-float HnswIndex::NodeSim(const float* q, float qsum, int n) const {
-  const GraphNode& node = nodes_[n];
-  if (storage_ == quant::Storage::kSq8) {
-    return node.qp.scale * simd::DotI8(q, node.codes.data(), dim_) +
-           node.qp.offset * qsum;
-  }
-  return simd::Dot(q, node.vec.data(), dim_);
-}
-
-float HnswIndex::DecodeNode(int n, std::vector<float>* out) const {
-  const GraphNode& node = nodes_[n];
-  out->resize(dim_);
-  if (storage_ == quant::Storage::kSq8) {
-    quant::Sq8Decode(node.codes.data(), dim_, node.qp, out->data());
-  } else {
-    std::copy(node.vec.begin(), node.vec.end(), out->begin());
-  }
-  return Sum(out->data(), dim_);
 }
 
 int HnswIndex::RandomLevel() {
@@ -62,15 +34,14 @@ int HnswIndex::RandomLevel() {
   return static_cast<int>(-std::log(u) * ml);
 }
 
-int HnswIndex::GreedyClosest(const float* q, float qsum, int entry,
-                             int level) const {
+int HnswIndex::GreedyClosest(const Query& q, int entry, int level) const {
   int cur = entry;
-  float cur_sim = NodeSim(q, qsum, cur);
+  float cur_sim = rows_.Score(q, cur);
   bool improved = true;
   while (improved) {
     improved = false;
     for (int nb : nodes_[cur].neighbors[level]) {
-      const float s = NodeSim(q, qsum, nb);
+      const float s = rows_.Score(q, nb);
       if (s > cur_sim) {
         cur_sim = s;
         cur = nb;
@@ -81,9 +52,8 @@ int HnswIndex::GreedyClosest(const float* q, float qsum, int entry,
   return cur;
 }
 
-std::vector<Neighbor> HnswIndex::SearchLayer(const float* q, float qsum,
-                                             int entry, size_t ef,
-                                             int level) const {
+std::vector<Neighbor> HnswIndex::SearchLayer(const Query& q, int entry,
+                                             size_t ef, int level) const {
   // Classic dual-heap beam search; `visited` via epoch-free bool vector.
   std::vector<char> visited(nodes_.size(), 0);
   auto cmp_best = [](const Neighbor& a, const Neighbor& b) {
@@ -97,7 +67,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* q, float qsum,
   std::priority_queue<Neighbor, std::vector<Neighbor>, decltype(cmp_worst)>
       results(cmp_worst);
 
-  const float entry_sim = NodeSim(q, qsum, entry);
+  const float entry_sim = rows_.Score(q, entry);
   candidates.push({entry, entry_sim});
   results.push({entry, entry_sim});
   visited[entry] = 1;
@@ -109,7 +79,7 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* q, float qsum,
     for (int nb : nodes_[c.id].neighbors[level]) {
       if (visited[nb]) continue;
       visited[nb] = 1;
-      const float s = NodeSim(q, qsum, nb);
+      const float s = rows_.Score(q, nb);
       if (results.size() < ef || s > results.top().score) {
         candidates.push({nb, s});
         results.push({nb, s});
@@ -131,23 +101,12 @@ std::vector<Neighbor> HnswIndex::SearchLayer(const float* q, float qsum,
 void HnswIndex::PruneNeighbors(int n, int level, size_t max_m) {
   auto& nbs = nodes_[n].neighbors[level];
   if (nbs.size() <= max_m) return;
-  // The pivot node becomes the query side: in sq8 mode decode it once and
-  // score its neighbors through the same affine kernel as every other
-  // similarity; fp32 uses the stored row in place.
-  std::vector<float> scratch;
-  const float* pivot;
-  float pivot_sum = 0.0f;
-  if (storage_ == quant::Storage::kSq8) {
-    pivot_sum = DecodeNode(n, &scratch);
-    pivot = scratch.data();
-  } else {
-    pivot = nodes_[n].vec.data();
-  }
+  // The pivot node becomes the query side, as stored (decoded in sq8
+  // mode), scored like every other similarity.
+  const Query pivot = rows_.RowQuery(n);
   std::vector<Neighbor> scored;
   scored.reserve(nbs.size());
-  for (int nb : nbs) {
-    scored.push_back({nb, NodeSim(pivot, pivot_sum, nb)});
-  }
+  for (int nb : nbs) scored.push_back({nb, rows_.Score(pivot, nb)});
   std::partial_sort(scored.begin(), scored.begin() + max_m, scored.end(),
                     [](const Neighbor& a, const Neighbor& b) {
                       return a.score > b.score;
@@ -156,13 +115,15 @@ void HnswIndex::PruneNeighbors(int n, int level, size_t max_m) {
   for (size_t i = 0; i < max_m; ++i) nbs.push_back(scored[i].id);
 }
 
-void HnswIndex::InsertNode(GraphNode&& node) {
+void HnswIndex::InsertNode(int external_id) {
+  GraphNode node;
+  node.external_id = external_id;
   node.level = RandomLevel();
   node.neighbors.assign(static_cast<size_t>(node.level) + 1, {});
 
   const int internal = static_cast<int>(nodes_.size());
   nodes_.push_back(std::move(node));
-  live_[nodes_[internal].external_id] = internal;
+  live_[external_id] = internal;
 
   if (entry_point_ < 0) {
     entry_point_ = internal;
@@ -170,29 +131,21 @@ void HnswIndex::InsertNode(GraphNode&& node) {
     return;
   }
 
-  // The new node's row as the insertion query. In sq8 mode this is the
-  // DECODED row, so the beams that place its edges run in the same space
-  // later queries will score it in; fp32 queries with the stored row.
-  std::vector<float> qbuf;
-  const float* q;
-  float qsum = 0.0f;
-  if (storage_ == quant::Storage::kSq8) {
-    qsum = DecodeNode(internal, &qbuf);
-    q = qbuf.data();
-  } else {
-    q = nodes_[internal].vec.data();
-  }
+  // The new node's row as stored (DECODED in sq8 mode) is the insertion
+  // query, so the beams that place its edges run in the same space later
+  // queries will score it in.
+  const Query q = rows_.RowQuery(internal);
 
   int cur = entry_point_;
   // Descend through levels above the new node's level greedily.
   for (int level = max_level_; level > nodes_[internal].level; --level) {
-    cur = GreedyClosest(q, qsum, cur, level);
+    cur = GreedyClosest(q, cur, level);
   }
   // Connect at each level from min(level, max_level_) down to 0.
   for (int level = std::min(nodes_[internal].level, max_level_); level >= 0;
        --level) {
     std::vector<Neighbor> cands =
-        SearchLayer(q, qsum, cur, options_.ef_construction, level);
+        SearchLayer(q, cur, options_.ef_construction, level);
     const size_t max_m = level == 0 ? options_.m * 2 : options_.m;
     size_t linked = 0;
     for (const Neighbor& c : cands) {
@@ -225,15 +178,16 @@ void HnswIndex::MaybeRebuild() {
   // from the member Rng, whose state is serialized — a recovered index
   // rebuilds identically to its uninterrupted twin.
   std::vector<GraphNode> old = std::move(nodes_);
+  quant::RowStore old_rows = std::exchange(rows_, rows_.EmptyLike());
   nodes_.clear();
   nodes_.reserve(live_.size());
   live_.clear();
   entry_point_ = -1;
   max_level_ = -1;
-  for (GraphNode& node : old) {
-    if (node.deleted) continue;
-    node.neighbors.clear();
-    InsertNode(std::move(node));
+  for (size_t i = 0; i < old.size(); ++i) {
+    if (old[i].deleted) continue;
+    rows_.AppendFrom(old_rows, i);
+    InsertNode(old[i].external_id);
   }
 }
 
@@ -247,22 +201,8 @@ Status HnswIndex::Add(int id, const float* vec) {
     live_.erase(it);
   }
 
-  GraphNode node;
-  node.external_id = id;
-  if (storage_ == quant::Storage::kSq8) {
-    std::vector<float> row(vec, vec + dim_);
-    if (metric_ == Metric::kCosine) {
-      simd::NormalizeInPlace(row.data(), dim_);
-    }
-    node.codes.resize(dim_);
-    node.qp = quant::Sq8Encode(row.data(), dim_, node.codes.data());
-  } else {
-    node.vec.assign(vec, vec + dim_);
-    if (metric_ == Metric::kCosine) {
-      simd::NormalizeInPlace(node.vec.data(), dim_);
-    }
-  }
-  InsertNode(std::move(node));
+  rows_.Append(vec);
+  InsertNode(id);
   MaybeRebuild();
   return Status::OK();
 }
@@ -281,14 +221,9 @@ Status HnswIndex::Remove(int id) {
 IndexMemoryStats HnswIndex::memory_stats() const {
   IndexMemoryStats stats;
   stats.tombstones = nodes_.size() - live_.size();
-  if (storage_ == quant::Storage::kSq8) {
-    // dim codes + scale + offset per resident node (tombstones included —
-    // they occupy RAM until a rebuild evicts them).
-    stats.code_bytes =
-        nodes_.size() * (dim_ * sizeof(int8_t) + 2 * sizeof(float));
-  } else {
-    stats.embedding_bytes = nodes_.size() * dim_ * sizeof(float);
-  }
+  // Tombstoned rows count: they occupy RAM until a rebuild evicts them.
+  stats.embedding_bytes = rows_.fp32_bytes();
+  stats.code_bytes = rows_.code_bytes();
   return stats;
 }
 
@@ -298,18 +233,14 @@ StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (entry_point_ < 0) return std::vector<Neighbor>{};
 
-  std::vector<float> qbuf(query, query + dim_);
-  if (metric_ == Metric::kCosine) simd::NormalizeInPlace(qbuf.data(), dim_);
-  const float* q = qbuf.data();
-  const float qsum =
-      storage_ == quant::Storage::kSq8 ? Sum(q, dim_) : 0.0f;
+  const Query q = rows_.PrepareQuery(query);
 
   int cur = entry_point_;
   for (int level = max_level_; level > 0; --level) {
-    cur = GreedyClosest(q, qsum, cur, level);
+    cur = GreedyClosest(q, cur, level);
   }
   const size_t ef = std::max(options_.ef_search, k);
-  std::vector<Neighbor> raw = SearchLayer(q, qsum, cur, ef + k, 0);
+  std::vector<Neighbor> raw = SearchLayer(q, cur, ef + k, 0);
 
   // Filter tombstones and duplicate external ids (an id can appear once
   // live and multiple times tombstoned after updates).
@@ -328,8 +259,8 @@ StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
 //   u64 rng.s[0..3] | u8 have_cached_normal | f32 cached_normal
 //   u64 node_count
 //   per node: i32 external_id | u8 deleted | i32 level
-//             fp32: f32 vec x dim
-//             sq8:  i8 code x dim | f32 scale | f32 offset
+//             row (quant::RowStore::SerializeRow: fp32 f32 x dim, or
+//                  sq8 i8 code x dim | f32 scale | f32 offset)
 //             per level 0..level: u64 n | i32 neighbor x n
 // The graph is persisted whole — tombstones, exact neighbor lists, entry
 // point, and the RNG — because a rebuilt-from-vectors graph would draw a
@@ -338,8 +269,8 @@ StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
 // codes and params are verbatim bytes, so restore never re-quantizes.
 void HnswIndex::SerializeTo(std::string* out) const {
   PutU8(out, 'H');
-  PutU8(out, static_cast<uint8_t>(storage_));
-  PutFixed64(out, static_cast<uint64_t>(dim_));
+  PutU8(out, static_cast<uint8_t>(storage()));
+  PutFixed64(out, static_cast<uint64_t>(dim()));
   PutI32(out, entry_point_);
   PutI32(out, max_level_);
   const Rng::State rng = rng_.state();
@@ -347,18 +278,12 @@ void HnswIndex::SerializeTo(std::string* out) const {
   PutU8(out, rng.have_cached_normal ? 1 : 0);
   PutF32(out, rng.cached_normal);
   PutFixed64(out, static_cast<uint64_t>(nodes_.size()));
-  for (const GraphNode& node : nodes_) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const GraphNode& node = nodes_[i];
     PutI32(out, node.external_id);
     PutU8(out, node.deleted ? 1 : 0);
     PutI32(out, node.level);
-    if (storage_ == quant::Storage::kSq8) {
-      out->append(reinterpret_cast<const char*>(node.codes.data()),
-                  node.codes.size());
-      PutF32(out, node.qp.scale);
-      PutF32(out, node.qp.offset);
-    } else {
-      PutFloats(out, node.vec.data(), node.vec.size());
-    }
+    rows_.SerializeRow(i, out);
     for (const std::vector<int>& nbs : node.neighbors) {
       PutFixed64(out, static_cast<uint64_t>(nbs.size()));
       for (int nb : nbs) PutI32(out, nb);
@@ -373,12 +298,12 @@ Status HnswIndex::DeserializeFrom(std::string_view in) {
   if (tag != 'H') return Status::InvalidArgument("not an HNSW index blob");
   uint8_t storage = 0;
   SCCF_RETURN_NOT_OK(reader.ReadU8(&storage));
-  if (storage != static_cast<uint8_t>(storage_)) {
+  if (storage != static_cast<uint8_t>(this->storage())) {
     return Status::InvalidArgument("index blob storage mode mismatch");
   }
   uint64_t dim = 0;
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&dim));
-  if (dim != dim_) {
+  if (dim != this->dim()) {
     return Status::InvalidArgument("index blob dim mismatch");
   }
   int32_t entry_point = 0, max_level = 0;
@@ -406,6 +331,7 @@ Status HnswIndex::DeserializeFrom(std::string_view in) {
   }
 
   std::vector<GraphNode> nodes;
+  quant::RowStore rows = rows_.EmptyLike();
   std::unordered_map<int, int> live;
   nodes.reserve(static_cast<size_t>(node_count));
   for (int i = 0; i < n; ++i) {
@@ -418,15 +344,11 @@ Status HnswIndex::DeserializeFrom(std::string_view in) {
     if (node.external_id < 0 || node.level < 0 || node.level > max_level) {
       return Status::InvalidArgument("index blob node header out of range");
     }
-    if (storage_ == quant::Storage::kSq8) {
-      std::string_view raw;
-      SCCF_RETURN_NOT_OK(reader.ReadView(dim_, &raw));
-      node.codes.assign(reinterpret_cast<const int8_t*>(raw.data()),
-                        reinterpret_cast<const int8_t*>(raw.data()) + dim_);
-      SCCF_RETURN_NOT_OK(reader.ReadF32(&node.qp.scale));
-      SCCF_RETURN_NOT_OK(reader.ReadF32(&node.qp.offset));
-    } else {
-      SCCF_RETURN_NOT_OK(reader.ReadFloats(dim_, &node.vec));
+    SCCF_RETURN_NOT_OK(rows.ReadRow(&reader));
+    // Every level costs at least its 8-byte neighbor count: bound the
+    // level by the bytes left before allocating its lists.
+    if (static_cast<uint64_t>(node.level) + 1 > reader.remaining() / 8) {
+      return Status::IoError("truncated index blob (node levels)");
     }
     node.neighbors.resize(static_cast<size_t>(node.level) + 1);
     for (std::vector<int>& nbs : node.neighbors) {
@@ -453,10 +375,27 @@ Status HnswIndex::DeserializeFrom(std::string_view in) {
   if (!reader.exhausted()) {
     return Status::InvalidArgument("trailing bytes in index blob");
   }
+  // Search descends from the entry point at max_level and follows an edge
+  // at level l only into nodes that have level l: both hold for every
+  // graph Add builds, and a blob that breaks them would index past a
+  // node's neighbor lists.
+  if (n > 0 && nodes[entry_point].level != max_level) {
+    return Status::InvalidArgument("index blob entry point not at max level");
+  }
+  for (const GraphNode& node : nodes) {
+    for (size_t level = 0; level < node.neighbors.size(); ++level) {
+      for (int nb : node.neighbors[level]) {
+        if (static_cast<size_t>(nodes[nb].level) < level) {
+          return Status::InvalidArgument("index blob edge above its target");
+        }
+      }
+    }
+  }
 
   entry_point_ = entry_point;
   max_level_ = max_level;
   rng_.set_state(rng);
+  rows_ = std::move(rows);
   nodes_ = std::move(nodes);
   live_ = std::move(live);
   return Status::OK();

@@ -12,7 +12,10 @@ namespace sccf::index {
 
 IvfFlatIndex::IvfFlatIndex(size_t dim, Metric metric, Options options,
                            quant::Storage storage)
-    : dim_(dim), metric_(metric), options_(options), storage_(storage) {
+    : dim_(dim),
+      metric_(metric),
+      options_(options),
+      encoder_(dim, storage, metric == Metric::kCosine) {
   SCCF_CHECK_GT(options_.nlist, 0u);
   SCCF_CHECK_GT(options_.nprobe, 0u);
 }
@@ -77,7 +80,7 @@ Status IvfFlatIndex::Train(const std::vector<float>& vectors, size_t n) {
     if (!changed && iter > 0) break;
   }
 
-  lists_.assign(nlist, {});
+  lists_.assign(nlist, List{{}, encoder_.EmptyLike()});
   assignment_.clear();
   trained_ = true;
   return Status::OK();
@@ -102,38 +105,36 @@ Status IvfFlatIndex::Add(int id, const float* vec) {
   }
   if (id < 0) return Status::InvalidArgument("id must be non-negative");
 
-  std::vector<float> v(vec, vec + dim_);
-  if (metric_ == Metric::kCosine) simd::NormalizeInPlace(v.data(), dim_);
-
-  Posting posting;
-  posting.id = id;
-  if (storage_ == quant::Storage::kSq8) {
-    // Quantize first, then bucket by the DECODED row, so the posting
-    // lives in the centroid list closest to the vector queries actually
-    // score — assignment and search stay in the same space.
-    posting.codes.resize(dim_);
-    posting.qp = quant::Sq8Encode(v.data(), dim_, posting.codes.data());
-    quant::Sq8Decode(posting.codes.data(), dim_, posting.qp, v.data());
-  }
+  // Encode first, then bucket by the row as stored (DECODED in sq8 mode),
+  // so it lives in the list closest to the vector queries actually score
+  // — assignment and search stay in the same space.
+  encoder_.clear();
+  encoder_.Append(vec);
+  std::vector<float> v(dim_);
+  encoder_.DecodeRow(0, v.data());
 
   auto it = assignment_.find(id);
   if (it != assignment_.end()) {
-    // Streaming update: remove from the old bucket (swap-with-back).
-    auto [list, pos] = it->second;
-    auto& postings = lists_[list];
-    if (pos != postings.size() - 1) {
-      postings[pos] = std::move(postings.back());
-      assignment_[postings[pos].id] = {list, pos};
-    }
-    postings.pop_back();
+    // Streaming update: remove from the old list first.
+    RemoveFromList(it->second.first, it->second.second);
     assignment_.erase(it);
   }
 
   const size_t list = NearestCentroid(v.data());
-  if (storage_ != quant::Storage::kSq8) posting.vec = std::move(v);
-  lists_[list].push_back(std::move(posting));
-  assignment_[id] = {list, lists_[list].size() - 1};
+  lists_[list].ids.push_back(id);
+  lists_[list].rows.AppendFrom(encoder_, 0);
+  assignment_[id] = {list, lists_[list].ids.size() - 1};
   return Status::OK();
+}
+
+void IvfFlatIndex::RemoveFromList(size_t list, size_t pos) {
+  List& l = lists_[list];
+  if (pos != l.ids.size() - 1) {
+    l.ids[pos] = l.ids.back();
+    assignment_[l.ids[pos]] = {list, pos};
+  }
+  l.ids.pop_back();
+  l.rows.RemoveSwap(pos);
 }
 
 Status IvfFlatIndex::Remove(int id) {
@@ -142,13 +143,7 @@ Status IvfFlatIndex::Remove(int id) {
     return Status::NotFound("id not in index: " + std::to_string(id));
   }
   // True delete: same swap-with-back the streaming-update path uses.
-  auto [list, pos] = it->second;
-  auto& postings = lists_[list];
-  if (pos != postings.size() - 1) {
-    postings[pos] = std::move(postings.back());
-    assignment_[postings[pos].id] = {list, pos};
-  }
-  postings.pop_back();
+  RemoveFromList(it->second.first, it->second.second);
   assignment_.erase(it);
   return Status::OK();
 }
@@ -156,11 +151,9 @@ Status IvfFlatIndex::Remove(int id) {
 IndexMemoryStats IvfFlatIndex::memory_stats() const {
   IndexMemoryStats stats;
   stats.embedding_bytes = centroids_.size() * sizeof(float);
-  const size_t rows = assignment_.size();
-  if (storage_ == quant::Storage::kSq8) {
-    stats.code_bytes = rows * (dim_ * sizeof(int8_t) + 2 * sizeof(float));
-  } else {
-    stats.embedding_bytes += rows * dim_ * sizeof(float);
+  for (const List& l : lists_) {
+    stats.embedding_bytes += l.rows.fp32_bytes();
+    stats.code_bytes += l.rows.code_bytes();
   }
   return stats;
 }
@@ -173,35 +166,23 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
   }
   if (k == 0) return Status::InvalidArgument("k must be positive");
 
-  std::vector<float> qbuf(query, query + dim_);
-  if (metric_ == Metric::kCosine) simd::NormalizeInPlace(qbuf.data(), dim_);
-  const float* q = qbuf.data();
+  const quant::RowStore::Query q = encoder_.PrepareQuery(query);
 
   // Rank centroids by distance and scan the nprobe closest lists.
   const size_t nlist = options_.nlist;
   std::vector<std::pair<float, size_t>> order(nlist);
   for (size_t c = 0; c < nlist; ++c) {
-    order[c] = {simd::SquaredL2(q, &centroids_[c * dim_], dim_), c};
+    order[c] = {simd::SquaredL2(q.data(), &centroids_[c * dim_], dim_), c};
   }
   const size_t nprobe = std::min(options_.nprobe, nlist);
   std::partial_sort(order.begin(), order.begin() + nprobe, order.end());
 
-  float qsum = 0.0f;
-  if (storage_ == quant::Storage::kSq8) {
-    for (size_t i = 0; i < dim_; ++i) qsum += q[i];
-  }
-
   TopKAccumulator acc(k);
   for (size_t p = 0; p < nprobe; ++p) {
-    for (const Posting& posting : lists_[order[p].second]) {
-      if (posting.id == exclude_id) continue;
-      if (storage_ == quant::Storage::kSq8) {
-        const float raw = simd::DotI8(q, posting.codes.data(), dim_);
-        acc.Offer(posting.id,
-                  posting.qp.scale * raw + posting.qp.offset * qsum);
-      } else {
-        acc.Offer(posting.id, simd::Dot(q, posting.vec.data(), dim_));
-      }
+    const List& l = lists_[order[p].second];
+    for (size_t i = 0; i < l.ids.size(); ++i) {
+      if (l.ids[i] == exclude_id) continue;
+      acc.Offer(l.ids[i], l.rows.Score(q, i));
     }
   }
   return acc.Take();
@@ -210,9 +191,9 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
 // Payload layout:
 //   u8 tag 'I' | u8 storage | u64 dim | u8 trained | u64 nlist
 //   f32 centroid x (nlist * dim)
-//   per list: u64 count | per posting:
-//     fp32: i32 id | f32 vec x dim
-//     sq8:  i32 id | i8 code x dim | f32 scale | f32 offset
+//   per list: u64 count | per row: i32 id | row (quant::RowStore::
+//     SerializeRow: fp32 f32 x dim, or sq8 i8 code x dim | f32 scale |
+//     f32 offset)
 // Centroids are persisted rather than re-trained: Train() re-seeds empty
 // clusters from its own RNG, so a re-run could place centroids (and thus
 // postings) differently from the serialized run. assignment_ is derived
@@ -220,23 +201,16 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
 // restore never re-quantizes.
 void IvfFlatIndex::SerializeTo(std::string* out) const {
   PutU8(out, 'I');
-  PutU8(out, static_cast<uint8_t>(storage_));
+  PutU8(out, static_cast<uint8_t>(storage()));
   PutFixed64(out, static_cast<uint64_t>(dim_));
   PutU8(out, trained_ ? 1 : 0);
   PutFixed64(out, static_cast<uint64_t>(lists_.size()));
   PutFloats(out, centroids_.data(), centroids_.size());
-  for (const std::vector<Posting>& postings : lists_) {
-    PutFixed64(out, static_cast<uint64_t>(postings.size()));
-    for (const Posting& posting : postings) {
-      PutI32(out, posting.id);
-      if (storage_ == quant::Storage::kSq8) {
-        out->append(reinterpret_cast<const char*>(posting.codes.data()),
-                    posting.codes.size());
-        PutF32(out, posting.qp.scale);
-        PutF32(out, posting.qp.offset);
-      } else {
-        PutFloats(out, posting.vec.data(), posting.vec.size());
-      }
+  for (const List& l : lists_) {
+    PutFixed64(out, static_cast<uint64_t>(l.ids.size()));
+    for (size_t i = 0; i < l.ids.size(); ++i) {
+      PutI32(out, l.ids[i]);
+      l.rows.SerializeRow(i, out);
     }
   }
 }
@@ -248,7 +222,7 @@ Status IvfFlatIndex::DeserializeFrom(std::string_view in) {
   SCCF_RETURN_NOT_OK(reader.ReadU8(&tag));
   if (tag != 'I') return Status::InvalidArgument("not an IVF index blob");
   SCCF_RETURN_NOT_OK(reader.ReadU8(&storage));
-  if (storage != static_cast<uint8_t>(storage_)) {
+  if (storage != static_cast<uint8_t>(this->storage())) {
     return Status::InvalidArgument("index blob storage mode mismatch");
   }
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&dim));
@@ -274,41 +248,30 @@ Status IvfFlatIndex::DeserializeFrom(std::string_view in) {
   std::vector<float> centroids;
   SCCF_RETURN_NOT_OK(
       reader.ReadFloats(static_cast<size_t>(nlist) * dim_, &centroids));
-  std::vector<std::vector<Posting>> lists(static_cast<size_t>(nlist));
+  std::vector<List> lists(static_cast<size_t>(nlist),
+                          List{{}, encoder_.EmptyLike()});
   std::unordered_map<int, std::pair<size_t, size_t>> assignment;
   for (size_t list = 0; list < lists.size(); ++list) {
     uint64_t count = 0;
     SCCF_RETURN_NOT_OK(reader.ReadFixed64(&count));
-    // Each posting costs at least 4 + dim bytes (sq8) or 4 + 4 * dim
-    // (fp32); bound with the smaller.
+    // Each row costs at least 4 + dim bytes (sq8) or 4 + 4 * dim (fp32);
+    // bound with the smaller.
     if (count > reader.remaining() / (4 + dim_)) {
       return Status::IoError("truncated index blob (posting list)");
     }
-    lists[list].reserve(static_cast<size_t>(count));
+    lists[list].ids.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
-      Posting posting;
-      SCCF_RETURN_NOT_OK(reader.ReadI32(&posting.id));
-      if (posting.id < 0) {
+      int32_t id = 0;
+      SCCF_RETURN_NOT_OK(reader.ReadI32(&id));
+      if (id < 0) {
         return Status::InvalidArgument("negative id in index blob");
       }
-      if (storage_ == quant::Storage::kSq8) {
-        std::string_view raw;
-        SCCF_RETURN_NOT_OK(reader.ReadView(dim_, &raw));
-        posting.codes.assign(
-            reinterpret_cast<const int8_t*>(raw.data()),
-            reinterpret_cast<const int8_t*>(raw.data()) + dim_);
-        SCCF_RETURN_NOT_OK(reader.ReadF32(&posting.qp.scale));
-        SCCF_RETURN_NOT_OK(reader.ReadF32(&posting.qp.offset));
-      } else {
-        SCCF_RETURN_NOT_OK(reader.ReadFloats(dim_, &posting.vec));
-      }
-      if (!assignment
-               .emplace(posting.id,
-                        std::make_pair(list, static_cast<size_t>(i)))
+      SCCF_RETURN_NOT_OK(lists[list].rows.ReadRow(&reader));
+      if (!assignment.emplace(id, std::make_pair(list, static_cast<size_t>(i)))
                .second) {
         return Status::InvalidArgument("duplicate id in index blob");
       }
-      lists[list].push_back(std::move(posting));
+      lists[list].ids.push_back(id);
     }
   }
   if (!reader.exhausted()) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "index/vector_index.h"
+#include "quant/row_store.h"
 #include "util/random.h"
 
 namespace sccf::index {
@@ -22,8 +23,9 @@ namespace sccf::index {
 ///
 /// Thread-safety: concurrent Search calls are safe after Train (query
 /// scratch is local); Train, Add, and set_nprobe require exclusive access
-/// — Add swap-removes postings and rewrites assignment_ entries that a
-/// concurrent scan could be reading. See the contract in vector_index.h.
+/// — Add encodes through encoder_, swap-removes list rows and rewrites
+/// assignment_ entries that a concurrent scan could be reading. See the
+/// contract in vector_index.h.
 class IvfFlatIndex : public VectorIndex {
  public:
   struct Options {
@@ -51,7 +53,7 @@ class IvfFlatIndex : public VectorIndex {
   size_t size() const override { return assignment_.size(); }
   size_t dim() const override { return dim_; }
   Metric metric() const override { return metric_; }
-  quant::Storage storage() const override { return storage_; }
+  quant::Storage storage() const override { return encoder_.storage(); }
   IndexMemoryStats memory_stats() const override;
 
   void set_nprobe(size_t nprobe) { options_.nprobe = nprobe; }
@@ -60,23 +62,28 @@ class IvfFlatIndex : public VectorIndex {
   Status DeserializeFrom(std::string_view in) override;
 
  private:
-  struct Posting {
-    int id = -1;
-    std::vector<float> vec;      // fp32 mode: normalised when cosine
-    std::vector<int8_t> codes;   // sq8 mode: dim codes
-    quant::Sq8Params qp;         // sq8 mode: per-row affine params
+  /// One inverted list: ids[i] is the external id of rows' slot i.
+  struct List {
+    std::vector<int> ids;
+    quant::RowStore rows;
   };
 
   size_t NearestCentroid(const float* vec) const;
+  /// Swap-removes slot `pos` of list `list` and re-points the id moved
+  /// into it. The caller erases the removed id's assignment.
+  void RemoveFromList(size_t list, size_t pos);
 
   size_t dim_ = 0;
   Metric metric_;
   Options options_;
-  quant::Storage storage_ = quant::Storage::kFp32;
+  // One-row store that fixes the row encoding: Add encodes into it before
+  // the row's list is known, Search prepares queries with it, and every
+  // list's store is made EmptyLike it.
+  quant::RowStore encoder_;
   bool trained_ = false;
-  std::vector<float> centroids_;              // nlist x dim
-  std::vector<std::vector<Posting>> lists_;   // per-centroid postings
-  // id -> (list, position) for O(1) streaming reassignment.
+  std::vector<float> centroids_;   // nlist x dim
+  std::vector<List> lists_;        // per-centroid rows
+  // id -> (list, slot) for O(1) streaming reassignment.
   std::unordered_map<int, std::pair<size_t, size_t>> assignment_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "simd/kernels.h"
-
 namespace sccf::index {
 
 namespace {
@@ -40,85 +38,36 @@ std::vector<Neighbor> TopKAccumulator::Take() {
 
 void UpsertBuffer::Put(int id, const float* vec) {
   auto it = pos_.find(id);
-  size_t row;
-  bool fresh = false;
   if (it != pos_.end()) {
-    row = it->second;
-  } else {
-    row = ids_.size();
-    fresh = true;
-    ids_.push_back(id);
-    data_.resize(data_.size() + dim_);
-    inv_norms_.push_back(0.0f);
-    pos_[id] = row;
+    std::copy_n(vec, dim(), raw_.data() + it->second * dim());
+    rows_.Set(it->second, vec);
+    return;
   }
-  std::copy(vec, vec + dim_, data_.data() + row * dim_);
-  if (metric_ == Metric::kCosine) {
-    const float norm = simd::Norm(vec, dim_);
-    inv_norms_[row] = norm > 0.0f ? 1.0f / norm : 0.0f;
-  }
-  if (storage_ == quant::Storage::kSq8) {
-    // Encode exactly what the backend's Add will store, so staged and
-    // post-drain scores coincide bit-for-bit.
-    const float* enc = vec;
-    std::vector<float> normed;
-    if (metric_ == Metric::kCosine) {
-      normed.resize(dim_);
-      simd::NormalizeCopy(vec, normed.data(), dim_);
-      enc = normed.data();
-    }
-    if (fresh) {
-      codes_.Append(enc);
-    } else {
-      codes_.Set(row, enc);
-    }
-  }
+  pos_[id] = ids_.size();
+  ids_.push_back(id);
+  raw_.insert(raw_.end(), vec, vec + dim());
+  rows_.Append(vec);
 }
 
 void UpsertBuffer::OfferTo(const float* query, int exclude_id,
                            TopKAccumulator* acc) const {
   if (ids_.empty()) return;
-  std::vector<float> qnorm;
-  const float* q = query;
-  if (metric_ == Metric::kCosine) {
-    qnorm.resize(dim_);
-    simd::NormalizeCopy(query, qnorm.data(), dim_);
-    q = qnorm.data();
-  }
-  if (storage_ == quant::Storage::kSq8) {
-    // Score the staged codes with the same affine int8 dot the backend
-    // uses, so the merged score equals the future indexed score exactly.
-    // Cosine needs no inv-norm factor here: the codes already encode the
-    // normalised row.
-    float qsum = 0.0f;
-    for (size_t i = 0; i < dim_; ++i) qsum += q[i];
-    for (size_t row = 0; row < ids_.size(); ++row) {
-      if (ids_[row] == exclude_id) continue;
-      const quant::Sq8Params p = codes_.params(row);
-      const float score =
-          p.scale * simd::DotI8(q, codes_.row(row), dim_) + p.offset * qsum;
-      acc->Offer(ids_[row], score);
-    }
-    return;
-  }
+  const quant::RowStore::Query q = rows_.PrepareQuery(query);
   for (size_t row = 0; row < ids_.size(); ++row) {
     if (ids_[row] == exclude_id) continue;
-    float score = simd::Dot(q, data_.data() + row * dim_, dim_);
-    if (metric_ == Metric::kCosine) score *= inv_norms_[row];
-    acc->Offer(ids_[row], score);
+    acc->Offer(ids_[row], rows_.Score(q, row));
   }
 }
 
 Status UpsertBuffer::DrainTo(VectorIndex* index) {
   Status first_error;
-  for (size_t row = 0; row < ids_.size(); ++row) {
-    Status st = index->Add(ids_[row], data_.data() + row * dim_);
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    Status st = index->Add(ids_[i], row(i));
     if (!st.ok() && first_error.ok()) first_error = st;
   }
   ids_.clear();
-  data_.clear();
-  inv_norms_.clear();
-  codes_.clear();
+  raw_.clear();
+  rows_.clear();
   pos_.clear();
   return first_error;
 }

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "quant/row_store.h"
 #include "quant/sq8.h"
 #include "util/status.h"
 
@@ -160,21 +161,19 @@ class TopKAccumulator {
 /// queries by combining OfferTo with the backend's Search results, and
 /// flush with DrainTo at their compaction point.
 ///
-/// Vectors are stored raw: DrainTo hands the backend exactly the bytes a
-/// direct Add would have received, so a drain is bit-identical to having
-/// called Add with each id's final vector. Cosine scoring in OfferTo
-/// normalises on the fly instead (score = <q/|q|, v> / |v|, zero norms
-/// score 0), matching the backends' normalised-copy semantics to within
-/// rounding.
-///
-/// In sq8 mode the buffer additionally quantizes each staged row exactly
-/// as the backend's Add will (normalise-then-encode for cosine), and
-/// OfferTo scores the *codes* with the affine int8 dot — so a staged
-/// row's merged score is bit-identical to its post-drain indexed score,
-/// and queries never observe a drain. DrainTo still hands the backend
-/// the raw fp32 row (encoding is deterministic, so the backend derives
-/// the same codes), which keeps shard snapshots of staged rows in plain
-/// fp32 regardless of storage mode.
+/// Each staged row is kept twice. The raw copy is exactly the bytes a
+/// direct Add would have received: DrainTo hands it to the backend (so a
+/// drain is bit-identical to having called Add with each id's final
+/// vector) and shard snapshots persist it, in plain fp32 whatever the
+/// storage mode. The second copy sits in a quant::RowStore encoded
+/// exactly as the backend stores rows (normalised for cosine, then
+/// quantized in sq8 mode), and OfferTo scores it with the same single-row
+/// kernel HNSW and IVF use. A staged row's merged score therefore matches
+/// its post-drain indexed score up to the kernel's rounding: the
+/// brute-force backend scores through the batched kernel, so staged and
+/// compacted queries return the same ids with scores within 1e-5, in both
+/// storage modes (EngineTest.Sq8StagedMatchesCompacted and
+/// EngineTest.StagedUpsertsAreQueryFreshBeforeCompaction pin this).
 ///
 /// Not internally synchronized — same contract as VectorIndex; the owner
 /// guards it with the same lock as the index it stages for.
@@ -182,7 +181,7 @@ class UpsertBuffer {
  public:
   UpsertBuffer(size_t dim, Metric metric,
                quant::Storage storage = quant::Storage::kFp32)
-      : dim_(dim), metric_(metric), storage_(storage), codes_(dim) {}
+      : metric_(metric), rows_(dim, storage, metric == Metric::kCosine) {}
 
   /// Stages a copy of `vec` (dim floats) for `id`. Pre: id >= 0.
   void Put(int id, const float* vec);
@@ -193,16 +192,16 @@ class UpsertBuffer {
 
   size_t size() const { return ids_.size(); }
   bool empty() const { return ids_.empty(); }
-  size_t dim() const { return dim_; }
+  size_t dim() const { return rows_.dim(); }
   Metric metric() const { return metric_; }
-  quant::Storage storage() const { return storage_; }
+  quant::Storage storage() const { return rows_.storage(); }
   /// Staged ids in first-Put order (diagnostics / tests / snapshots).
   const std::vector<int>& ids() const { return ids_; }
 
   /// Raw staged row for ids()[i] — exactly the dim() floats a future
   /// DrainTo would hand the backend. Exposed so shard snapshots can
   /// persist staged-but-undrained upserts verbatim.
-  const float* row(size_t i) const { return data_.data() + i * dim_; }
+  const float* row(size_t i) const { return raw_.data() + i * dim(); }
 
   /// Scores every staged vector against `query` under the buffer's metric
   /// and offers (id, score) to `acc`, skipping `exclude_id`. Together with
@@ -219,14 +218,11 @@ class UpsertBuffer {
   Status DrainTo(VectorIndex* index);
 
  private:
-  size_t dim_ = 0;
   Metric metric_;
-  quant::Storage storage_ = quant::Storage::kFp32;
-  std::vector<int> ids_;                   // row -> external id
-  std::vector<float> data_;                // ids_.size() x dim_, raw rows
-  std::vector<float> inv_norms_;           // 1/|row| (0 for zero rows)
-  quant::Sq8Store codes_;                  // sq8 mode: backend-identical codes
-  std::unordered_map<int, size_t> pos_;    // external id -> row
+  std::vector<int> ids_;                 // row -> external id
+  std::vector<float> raw_;               // ids_.size() x dim, rows as Put
+  quant::RowStore rows_;                 // the same rows, backend-encoded
+  std::unordered_map<int, size_t> pos_;  // external id -> row
 };
 
 }  // namespace sccf::index

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 /// SQ8 scalar quantization: each embedding row is stored as dim int8
 /// codes plus a per-row affine map value = scale * code + offset.
@@ -26,7 +25,8 @@
 ///  - Memory: dim + 8 bytes per row vs 4 * dim fp32 (3.76x at dim 128).
 ///
 /// Scoring against codes never materializes decoded floats; see the
-/// DotI8/CosineI8/TopKDotI8 kernels in simd/kernels.h.
+/// DotI8/CosineI8/TopKDotI8 kernels in simd/kernels.h. Index backends hold
+/// rows through quant::RowStore (row_store.h), which applies this codec.
 namespace sccf::quant {
 
 /// Which representation an index backend holds rows in. Lives here (not
@@ -51,64 +51,6 @@ Sq8Params Sq8Encode(const float* in, size_t n, int8_t* codes);
 
 /// Decodes n codes back to floats: out[i] = scale * codes[i] + offset.
 void Sq8Decode(const int8_t* codes, size_t n, Sq8Params params, float* out);
-
-/// Dense slot-major store of SQ8 rows: one contiguous code matrix plus
-/// parallel per-row scale/offset arrays, laid out so TopKDotI8 can scan
-/// it directly. Mirrors the std::vector<float> row matrix the fp32
-/// backends use — append, overwrite, swap-remove — with the quantization
-/// step folded into the writes.
-class Sq8Store {
- public:
-  explicit Sq8Store(size_t dim) : dim_(dim) {}
-
-  size_t dim() const { return dim_; }
-  size_t size() const { return scales_.size(); }
-  bool empty() const { return scales_.empty(); }
-
-  /// Encodes `row` (dim floats) into a new slot; returns its index.
-  size_t Append(const float* row);
-
-  /// Re-encodes `row` into an existing slot.
-  void Set(size_t slot, const float* row);
-
-  /// Appends a pre-encoded row (snapshot restore path).
-  void AppendEncoded(const int8_t* codes, Sq8Params params);
-
-  /// Removes `slot` by moving the last row into it (no-op move when slot
-  /// is already last). The caller owns fixing up any slot maps.
-  void RemoveSwap(size_t slot);
-
-  /// out[i] = scale * code[i] + offset for the row at `slot`.
-  void DecodeRow(size_t slot, float* out) const;
-
-  const int8_t* row(size_t slot) const { return codes_.data() + slot * dim_; }
-  Sq8Params params(size_t slot) const {
-    return {scales_[slot], offsets_[slot]};
-  }
-
-  /// Raw views for scan kernels and serialization.
-  const int8_t* codes_data() const { return codes_.data(); }
-  const float* scales_data() const { return scales_.data(); }
-  const float* offsets_data() const { return offsets_.data(); }
-
-  /// Bytes held by codes + per-row params (the quantized footprint).
-  size_t code_bytes() const {
-    return codes_.size() * sizeof(int8_t) +
-           (scales_.size() + offsets_.size()) * sizeof(float);
-  }
-
-  void clear() {
-    codes_.clear();
-    scales_.clear();
-    offsets_.clear();
-  }
-
- private:
-  size_t dim_;
-  std::vector<int8_t> codes_;  // size() * dim_, row-major
-  std::vector<float> scales_;
-  std::vector<float> offsets_;
-};
 
 }  // namespace sccf::quant
 

@@ -693,6 +693,110 @@ TEST(IndexSerializeTest, BlobFormatIsPinnedPerBackendStorageAndMetric) {
   ASSERT_TRUE(simd::ForceVariant(active).ok());
 }
 
+// One node of a hand-built HNSW blob: its level field, its row, and the
+// neighbor lists actually written (normally level + 1 of them).
+struct CraftedNode {
+  int32_t level = 0;
+  std::vector<float> row;
+  std::vector<std::vector<int>> lists;
+};
+
+// An fp32 dim-4 HNSW blob with entry point 0 and live external ids 0..n-1.
+std::string CraftedHnswBlob(int32_t max_level,
+                            const std::vector<CraftedNode>& nodes) {
+  std::string blob;
+  PutU8(&blob, 'H');
+  PutU8(&blob, static_cast<uint8_t>(quant::Storage::kFp32));
+  PutFixed64(&blob, 4);  // dim
+  PutI32(&blob, 0);      // entry point
+  PutI32(&blob, max_level);
+  for (int i = 0; i < 4; ++i) PutFixed64(&blob, i + 1);  // rng state
+  PutU8(&blob, 0);
+  PutF32(&blob, 0.0f);
+  PutFixed64(&blob, nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    PutI32(&blob, static_cast<int32_t>(i));  // external id
+    PutU8(&blob, 0);                         // live
+    PutI32(&blob, nodes[i].level);
+    PutFloats(&blob, nodes[i].row.data(), 4);
+    for (const std::vector<int>& list : nodes[i].lists) {
+      PutFixed64(&blob, list.size());
+      for (int nb : list) PutI32(&blob, nb);
+    }
+  }
+  return blob;
+}
+
+TEST(IndexSerializeTest, HnswRejectsLevelsTheBlobCannotHold) {
+  index::HnswIndex target(4, index::Metric::kCosine, {});
+  ASSERT_TRUE(target.Add(77, MakeVec(4, 77).data()).ok());
+  std::string before;
+  target.SerializeTo(&before);
+  auto expect_rejected = [&](const std::string& blob, const char* what) {
+    EXPECT_FALSE(target.DeserializeFrom(blob).ok()) << what;
+    std::string after;
+    target.SerializeTo(&after);
+    EXPECT_EQ(after, before) << what;
+  };
+
+  // The well-formed two-level graph loads, so only the field each case
+  // below breaks is at fault.
+  const std::vector<float> a = {1, 0, 0, 0}, b = {0, 1, 0, 0};
+  index::HnswIndex ok(4, index::Metric::kCosine, {});
+  ASSERT_TRUE(ok.DeserializeFrom(CraftedHnswBlob(
+                                     1, {{1, a, {{1}, {}}}, {0, b, {{0}}}}))
+                  .ok());
+  EXPECT_EQ(ok.size(), 2u);
+
+  // A level of 2^31 - 2 would size 2^31 - 1 neighbor lists from a blob
+  // that holds one 8-byte count.
+  expect_rejected(CraftedHnswBlob(0x7ffffffe, {{0x7ffffffe, a, {{}}}}),
+                  "huge level");
+  // Search descends from max_level through the entry node's lists, and
+  // follows a level-1 edge only into nodes that have level 1.
+  expect_rejected(CraftedHnswBlob(3, {{0, a, {{}}}}),
+                  "entry point below max level");
+  expect_rejected(
+      CraftedHnswBlob(1, {{1, a, {{1}, {1}}}, {0, b, {{0}}}}),
+      "edge into a lower-level node");
+}
+
+TEST(IndexSerializeTest, BruteForceRejectsIdsAreSlotsFlagOverForeignIds) {
+  constexpr size_t kDim = 4;
+  auto blob_with_flag = [&](uint8_t ids_are_slots) {
+    std::string blob;
+    PutU8(&blob, 'B');
+    PutU8(&blob, static_cast<uint8_t>(quant::Storage::kFp32));
+    PutU8(&blob, ids_are_slots);
+    PutFixed64(&blob, kDim);
+    PutFixed64(&blob, 2);
+    PutI32(&blob, 5);
+    PutI32(&blob, 9);
+    const float rows[2 * kDim] = {1, 0, 0, 0, 0, 1, 0, 0};
+    PutFloats(&blob, rows, 2 * kDim);
+    return blob;
+  };
+  // Without the flag the blob is fine and Search reports the stored ids.
+  index::BruteForceIndex honest(kDim, index::Metric::kCosine);
+  ASSERT_TRUE(honest.DeserializeFrom(blob_with_flag(0)).ok());
+  const float q[kDim] = {1, 0.5f, 0, 0};
+  auto hits = honest.Search(q, 2);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits->size(), 2u);
+  EXPECT_EQ((*hits)[0].id, 5);
+  EXPECT_EQ((*hits)[1].id, 9);
+
+  // With it, Search would report slots 0 and 1 as ids: reject, untouched.
+  index::BruteForceIndex target(kDim, index::Metric::kCosine);
+  ASSERT_TRUE(target.Add(77, MakeVec(kDim, 77).data()).ok());
+  std::string before;
+  target.SerializeTo(&before);
+  EXPECT_FALSE(target.DeserializeFrom(blob_with_flag(1)).ok());
+  std::string after;
+  target.SerializeTo(&after);
+  EXPECT_EQ(after, before);
+}
+
 TEST(IndexSerializeTest, TruncationSweepRejectsEveryPrefix) {
   constexpr size_t kDim = 4;
   // One blob per backend, swept in full: every strict prefix must be a

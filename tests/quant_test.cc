@@ -1,18 +1,24 @@
 // Codec properties of the SQ8 scalar quantizer (src/quant/sq8.h):
 // deterministic encode, bounded reconstruction error, exact handling of
 // the degenerate rows (constant, zero, single-element), saturation at
-// the +/-127 code bounds, and Sq8Store's append/set/remove-swap
-// bookkeeping including the dim+8-bytes-per-row accounting the memory
+// the +/-127 code bounds, and RowStore's append/set/remove-swap
+// bookkeeping in both storage modes, including verbatim row moves, its
+// (de)serialization, and the dim+8-bytes-per-row accounting the memory
 // stats build on.
 
 #include "quant/sq8.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "quant/row_store.h"
+#include "simd/kernels.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace sccf::quant {
@@ -101,10 +107,30 @@ TEST(Sq8CodecTest, ConstantRowHasZeroScaleAndIsLossless) {
   }
 }
 
-TEST(Sq8StoreTest, AppendSetRemoveSwapAndByteAccounting) {
+class RowStoreTest : public ::testing::TestWithParam<Storage> {
+ protected:
+  /// What DecodeRow must return for `row` stored without normalisation:
+  /// the row itself in fp32 mode, its codec round trip in sq8 mode.
+  std::vector<float> Expected(const std::vector<float>& row) const {
+    if (GetParam() == Storage::kFp32) return row;
+    std::vector<int8_t> codes(row.size());
+    std::vector<float> out(row.size());
+    Sq8Decode(codes.data(), row.size(),
+              Sq8Encode(row.data(), row.size(), codes.data()), out.data());
+    return out;
+  }
+
+  static std::string RowBytes(const RowStore& store, size_t slot) {
+    std::string out;
+    store.SerializeRow(slot, &out);
+    return out;
+  }
+};
+
+TEST_P(RowStoreTest, AppendSetRemoveSwapAndByteAccounting) {
   Rng rng(99);
   const size_t dim = 32;
-  Sq8Store store(dim);
+  RowStore store(dim, GetParam(), /*normalize=*/false);
   EXPECT_TRUE(store.empty());
 
   std::vector<std::vector<float>> rows;
@@ -113,57 +139,140 @@ TEST(Sq8StoreTest, AppendSetRemoveSwapAndByteAccounting) {
     EXPECT_EQ(store.Append(rows.back().data()), static_cast<size_t>(i));
   }
   EXPECT_EQ(store.size(), 5u);
-  // dim code bytes + 2 floats of params per row.
-  EXPECT_EQ(store.code_bytes(), 5 * (dim + 2 * sizeof(float)));
+  // fp32 rows cost 4 bytes per element; sq8 rows dim code bytes plus 2
+  // floats of params. Each mode reports only its own representation.
+  if (GetParam() == Storage::kFp32) {
+    EXPECT_EQ(store.fp32_bytes(), 5 * dim * sizeof(float));
+    EXPECT_EQ(store.code_bytes(), 0u);
+  } else {
+    EXPECT_EQ(store.fp32_bytes(), 0u);
+    EXPECT_EQ(store.code_bytes(), 5 * (dim + 2 * sizeof(float)));
+  }
 
   // Set re-encodes in place.
   rows[2] = RandomRow(rng, dim);
   store.Set(2, rows[2].data());
 
-  // Every slot decodes to (a quantization of) its row.
+  // Every slot decodes to exactly its encoded row.
   for (size_t s = 0; s < store.size(); ++s) {
     std::vector<float> decoded(dim);
     store.DecodeRow(s, decoded.data());
-    const Sq8Params p = store.params(s);
-    for (size_t i = 0; i < dim; ++i) {
-      ASSERT_NEAR(decoded[i], rows[s][i], 0.5f * p.scale + 1e-6f);
-    }
+    EXPECT_EQ(decoded, Expected(rows[s])) << "slot " << s;
   }
 
-  // RemoveSwap(1): last row (4) moves into slot 1.
-  const Sq8Params last_params = store.params(4);
-  std::vector<int8_t> last_codes(store.row(4), store.row(4) + dim);
+  // RemoveSwap(1): the last row (4) moves into slot 1 verbatim.
+  const std::string last = RowBytes(store, 4);
   store.RemoveSwap(1);
   EXPECT_EQ(store.size(), 4u);
-  EXPECT_EQ(store.params(1).scale, last_params.scale);
-  EXPECT_EQ(store.params(1).offset, last_params.offset);
-  for (size_t i = 0; i < dim; ++i) {
-    ASSERT_EQ(store.row(1)[i], last_codes[i]);
-  }
+  EXPECT_EQ(RowBytes(store, 1), last);
 
-  // AppendEncoded restores verbatim (the deserialize path).
-  Sq8Store copy(dim);
+  // AppendFrom copies encoded rows verbatim (the HNSW rebuild and IVF
+  // insert path).
+  RowStore copy = store.EmptyLike();
+  for (size_t s = 0; s < store.size(); ++s) copy.AppendFrom(store, s);
   for (size_t s = 0; s < store.size(); ++s) {
-    copy.AppendEncoded(store.row(s), store.params(s));
-  }
-  for (size_t s = 0; s < store.size(); ++s) {
-    for (size_t i = 0; i < dim; ++i) {
-      ASSERT_EQ(copy.row(s)[i], store.row(s)[i]);
-    }
+    EXPECT_EQ(RowBytes(copy, s), RowBytes(store, s)) << "slot " << s;
   }
 
   store.clear();
   EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.code_bytes(), 0u);
+  EXPECT_EQ(store.fp32_bytes() + store.code_bytes(), 0u);
 }
+
+TEST_P(RowStoreTest, SerializedRowsAndMatricesRoundTrip) {
+  Rng rng(5);
+  const size_t dim = 12;
+  RowStore store(dim, GetParam(), /*normalize=*/true);
+  for (int i = 0; i < 7; ++i) store.Append(RandomRow(rng, dim).data());
+
+  std::string matrix;
+  store.SerializeMatrix(&matrix);
+  std::string rows;
+  for (size_t s = 0; s < store.size(); ++s) store.SerializeRow(s, &rows);
+  // A one-row matrix is one row record; larger fp32 matrices are the rows
+  // back to back, sq8 matrices group codes, then scales, then offsets.
+  EXPECT_EQ(matrix.size(), rows.size());
+  if (GetParam() == Storage::kFp32) {
+    EXPECT_EQ(matrix, rows);
+  }
+
+  RowStore from_matrix = store.EmptyLike();
+  ByteReader mr(matrix);
+  ASSERT_TRUE(from_matrix.ReadMatrix(&mr, store.size()).ok());
+  EXPECT_TRUE(mr.exhausted());
+  RowStore from_rows = store.EmptyLike();
+  ByteReader rr(rows);
+  for (size_t s = 0; s < store.size(); ++s) {
+    ASSERT_TRUE(from_rows.ReadRow(&rr).ok());
+  }
+  EXPECT_TRUE(rr.exhausted());
+  for (size_t s = 0; s < store.size(); ++s) {
+    EXPECT_EQ(RowBytes(from_matrix, s), RowBytes(store, s));
+    EXPECT_EQ(RowBytes(from_rows, s), RowBytes(store, s));
+  }
+
+  // Every truncation is a clean error that leaves the store empty.
+  for (size_t cut = 0; cut < matrix.size(); ++cut) {
+    RowStore target = store.EmptyLike();
+    ByteReader r(std::string_view(matrix.data(), cut));
+    EXPECT_FALSE(target.ReadMatrix(&r, store.size()).ok()) << "cut " << cut;
+    EXPECT_TRUE(target.empty());
+  }
+}
+
+TEST_P(RowStoreTest, ScoresAgreeAcrossKernelsAndWithDecodedRows) {
+  Rng rng(17);
+  const size_t dim = 24, n = 40;
+  RowStore store(dim, GetParam(), /*normalize=*/true);
+  for (size_t i = 0; i < n; ++i) store.Append(RandomRow(rng, dim).data());
+  const std::vector<float> raw = RandomRow(rng, dim, 3.0f);
+  const RowStore::Query q = store.PrepareQuery(raw.data());
+  EXPECT_NEAR(simd::Norm(q.data(), dim), 1.0f, 1e-5f);  // normalised copy
+
+  std::vector<float> batch(n);
+  store.ScoreBatch(q, 0, n, batch.data());
+  std::vector<float> decoded(dim);
+  for (size_t i = 0; i < n; ++i) {
+    store.DecodeRow(i, decoded.data());
+    EXPECT_NEAR(store.Score(q, i), batch[i], 1e-5f) << "row " << i;
+    EXPECT_NEAR(batch[i], simd::Dot(q.data(), decoded.data(), dim), 1e-4f);
+  }
+
+  // TopK runs the batched kernel: its scores are ScoreBatch's exactly.
+  std::vector<std::pair<int, float>> top;
+  store.TopK(q, 5, /*exclude_slot=*/3, &top);
+  ASSERT_EQ(top.size(), 5u);
+  std::vector<float> sorted = batch;
+  sorted.erase(sorted.begin() + 3);
+  std::sort(sorted.rbegin(), sorted.rend());
+  for (size_t r = 0; r < top.size(); ++r) {
+    EXPECT_NE(top[r].first, 3);
+    EXPECT_EQ(top[r].second, batch[top[r].first]);
+    EXPECT_EQ(top[r].second, sorted[r]);
+  }
+
+  // A stored row as the query side is the decoded row, not re-normalised.
+  const RowStore::Query row_q = store.RowQuery(7);
+  store.DecodeRow(7, decoded.data());
+  EXPECT_EQ(row_q.vec, decoded);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, RowStoreTest,
+                         ::testing::Values(Storage::kFp32, Storage::kSq8),
+                         [](const auto& info) {
+                           return std::string(StorageName(info.param));
+                         });
 
 // The headline claim of the storage mode: per-row bytes drop >= 3x vs
 // fp32 for every realistic embedding dim (dim 32 is the server default).
-TEST(Sq8StoreTest, PerRowBytesAtLeast3xSmallerThanFp32) {
+TEST(RowStoreBytesTest, PerRowBytesAtLeast3xSmallerThanFp32) {
   for (size_t dim : {32u, 64u, 128u, 256u}) {
-    const size_t fp32_bytes = dim * sizeof(float);
-    const size_t sq8_bytes = dim + 2 * sizeof(float);
-    EXPECT_GE(fp32_bytes, 3 * sq8_bytes) << "dim=" << dim;
+    const std::vector<float> row(dim, 0.5f);
+    RowStore fp32(dim, Storage::kFp32, false);
+    RowStore sq8(dim, Storage::kSq8, false);
+    fp32.Append(row.data());
+    sq8.Append(row.data());
+    EXPECT_GE(fp32.fp32_bytes(), 3 * sq8.code_bytes()) << "dim=" << dim;
   }
 }
 
