@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Scratch files for the smokes below, removed on any exit.
+WORK="$(mktemp -d)"
+trap 'rm -rf "${WORK}"' EXIT
+
 # Markdown link check: every relative link in README.md and docs/ must
 # resolve to an existing file (anchors and external URLs are skipped).
 # Docs that point at moved/renamed files fail CI before anything builds.
@@ -56,8 +60,7 @@ if [[ -x "${MICRO}" ]]; then
   # benchmark >= 1.8 wants a "0.01s" suffix, older versions a bare double.
   # Keep the first attempt's stderr so a genuine crash is not masked by
   # the retry's flag-parse error.
-  SMOKE_ERR="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR}"' EXIT
+  SMOKE_ERR="${WORK}/micro_kernels.err"
   if ! "${MICRO}" --benchmark_min_time=0.01 >/dev/null 2>"${SMOKE_ERR}" &&
      ! "${MICRO}" --benchmark_min_time=0.01s >/dev/null; then
     echo "micro_kernels smoke: FAILED; first attempt stderr:" >&2
@@ -72,9 +75,8 @@ if [[ -x "${MICRO}" ]]; then
   # real margin is ~3-4x — so a genuine dispatch regression (e.g. always
   # falling back to scalar-through-the-table overhead) trips it, noise
   # does not. Skipped when the CPU has no SIMD variant to dispatch to.
-  SIMD_SCALAR_JSON="$(mktemp)"
-  SIMD_AUTO_JSON="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR}" "${SIMD_SCALAR_JSON}" "${SIMD_AUTO_JSON}"' EXIT
+  SIMD_SCALAR_JSON="${WORK}/simd_scalar.json"
+  SIMD_AUTO_JSON="${WORK}/simd_auto.json"
   SCCF_SIMD=scalar "${MICRO}" --simd_json="${SIMD_SCALAR_JSON}" >/dev/null
   # env -u: a stray exported SCCF_SIMD must not turn the "auto" run into a
   # forced one (which would silently skip the comparison below).
@@ -135,9 +137,7 @@ fi
 #     batching must never lose) — skipped on single-core hosts, where
 #     timer noise on the tiny --quick workload dominates.
 RT_BENCH=build/release/bench/bench_realtime_throughput
-RT_JSON="$(mktemp)"
-trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-  "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}"' EXIT
+RT_JSON="${WORK}/realtime.json"
 "${RT_BENCH}" --quick --threads=1,4 --batch_sizes=1,32 \
   --json="${RT_JSON}" >/dev/null
 rt_ups() {  # rt_ups <threads> <batch_size>
@@ -177,19 +177,17 @@ else
 fi
 
 # Scenario smoke: the workload-generator dimension end to end
-# (docs/OPERATIONS.md, "Scenario specs"). Three gates:
+# (docs/OPERATIONS.md, "Scenario specs"). Two gates:
 #   * bursty + power_law: cold-engine ingest updates/sec and batched
 #     streaming-eval events/sec must both be nonzero (the scenario
 #     corpora actually flow through the serving path and the
 #     reveal_window=32 evaluator makes predictions);
 #   * hot_shard: the adversarial all-ids-one-shard corpus must complete
 #     a 4-thread run within the timeout — contention on the single hot
-#     shard may serialize it, but must never stall it;
-#   * the per-scenario golden bands (fp32 + sq8) in the release-built
-#     golden suite must pass.
-SCEN_JSON="$(mktemp)"
-trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-  "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${SCEN_JSON:-}"' EXIT
+#     shard may serialize it, but must never stall it.
+# The per-scenario golden bands (fp32 + sq8) are tier-1 ctest cases
+# (sccf_golden_test), so the ctest run above already gated them.
+SCEN_JSON="${WORK}/scenario.json"
 "${RT_BENCH}" --quick --threads=1 --batch_sizes=32 --shards=8 \
   --scenario=bursty,power_law --json="${SCEN_JSON}" >/dev/null
 scen_ingest_ups() {  # scen_ingest_ups <scenario>
@@ -222,45 +220,7 @@ if ! timeout 180 "${RT_BENCH}" --quick --threads=4 --batch_sizes=32 \
        "or crashed a 4-thread ingest (180s budget)" >&2
   exit 1
 fi
-SCEN_GOLD="$(mktemp)"
-trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-  "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${SCEN_JSON:-}" \
-  "${SCEN_GOLD:-}"' EXIT
-if ./build/release/tests/sccf_golden_test \
-     --gtest_filter='*ScenarioGoldenTest*' >"${SCEN_GOLD}" 2>&1 &&
-   grep -q '\[  PASSED  \] 1 test' "${SCEN_GOLD}"; then
-  echo "scenario smoke: OK (bursty/power_law flow, hot_shard completes," \
-       "per-scenario golden bands hold)"
-else
-  echo "scenario smoke: FAILED — per-scenario golden bands did not" \
-       "pass:" >&2
-  tail -20 "${SCEN_GOLD}" >&2
-  exit 1
-fi
-rm -f "${SCEN_JSON}" "${SCEN_GOLD}"
-
-# Cold-shard compaction smoke: with background compaction on, a shard
-# that receives staged upserts and then goes COLD (no ingest, no
-# queries) must see pending_upserts() reach 0 within the compaction
-# interval's sweep budget. The release-built stress test pins exactly
-# this liveness property (the test polls with a generous deadline so a
-# loaded CI host does not flake the gate).
-COLD_OUT="$(mktemp)"
-trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-  "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}"' EXIT
-# The grep guards against a renamed test making the filter match
-# nothing (gtest exits 0 on an empty filter match).
-if ./build/release/tests/realtime_shard_stress_test \
-     --gtest_filter='*ColdShardBackgroundCompactionDrains*' \
-     >"${COLD_OUT}" 2>&1 &&
-   grep -q '\[  PASSED  \] 1 test' "${COLD_OUT}"; then
-  echo "cold-shard compaction smoke: OK"
-else
-  echo "cold-shard compaction smoke: FAILED — staged rows did not drain" \
-       "from a cold shard (background compaction liveness):" >&2
-  tail -20 "${COLD_OUT}" >&2
-  exit 1
-fi
+echo "scenario smoke: OK (bursty/power_law flow, hot_shard completes)"
 
 # Shard stress under ThreadSanitizer: the per-shard shared_mutex
 # discipline is only really exercised with race detection on. Skip
@@ -276,349 +236,6 @@ else
   echo "tsan shard stress: SKIPPED (-fsanitize=thread unavailable)"
 fi
 
-# Server front-end smoke: start the sccf_server daemon on an ephemeral
-# port, drive ~2s of mixed load at 8 pingpong connections with
-# bench_server --quick, require a nonzero QPS and zero request errors,
-# then SIGTERM and require a clean graceful-drain exit 0. The binaries
-# are Linux-only (epoll); skip gracefully elsewhere.
-SRV=build/release/sccf_server
-SRV_BENCH=build/release/bench/bench_server
-if [[ -x "${SRV}" && -x "${SRV_BENCH}" ]]; then
-  SRV_OUT="$(mktemp)"
-  SRV_JSON="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-    "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}" \
-    "${SRV_OUT:-}" "${SRV_JSON:-}"' EXIT
-  "${SRV}" --port=0 --users=800 --items=600 >"${SRV_OUT}" 2>&1 &
-  SRV_PID=$!
-  for _ in $(seq 1 150); do
-    grep -q 'listening on' "${SRV_OUT}" && break
-    if ! kill -0 "${SRV_PID}" 2>/dev/null; then break; fi
-    sleep 0.2
-  done
-  srv_port="$(sed -n 's/.*listening on .*:\([0-9]*\)$/\1/p' "${SRV_OUT}")"
-  srv_users="$(sed -n 's/^corpus users=\([0-9]*\).*/\1/p' "${SRV_OUT}")"
-  srv_items="$(sed -n 's/^corpus users=[0-9]* items=\([0-9]*\)$/\1/p' \
-    "${SRV_OUT}")"
-  if [[ -z "${srv_port}" ]]; then
-    echo "server smoke: FAILED — sccf_server never started listening:" >&2
-    cat "${SRV_OUT}" >&2
-    exit 1
-  fi
-  # --quick: 8 connections, 1s point, 20% ingest. Exits nonzero on any
-  # request error, so the gate below only needs the QPS floor.
-  # --quick first: flags apply in order, and the 2s duration must win
-  # over --quick's 1s default.
-  if ! "${SRV_BENCH}" --quick --port="${srv_port}" --users="${srv_users}" \
-       --items="${srv_items}" --duration=2 \
-       --json="${SRV_JSON}" >/dev/null; then
-    echo "server smoke: FAILED — bench_server reported errors" >&2
-    kill -TERM "${SRV_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  srv_qps="$(sed -n 's/.*"connections": 8, .*"qps": \([0-9.]*\).*/\1/p' \
-    "${SRV_JSON}")"
-  if [[ -z "${srv_qps}" ]] ||
-     ! awk -v q="${srv_qps}" 'BEGIN{exit !(q > 0)}'; then
-    echo "server smoke: FAILED — no throughput (qps='${srv_qps}')" >&2
-    kill -TERM "${SRV_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  kill -TERM "${SRV_PID}"
-  srv_exit=0
-  wait "${SRV_PID}" || srv_exit=$?
-  if [[ "${srv_exit}" -ne 0 ]]; then
-    echo "server smoke: FAILED — SIGTERM drain exited ${srv_exit}:" >&2
-    cat "${SRV_OUT}" >&2
-    exit 1
-  fi
-  echo "server smoke: OK (${srv_qps} qps at 8 connections, clean drain)"
-else
-  echo "server smoke: SKIPPED (sccf_server not built on this platform)"
-fi
-
-# SQ8 storage smoke: the quantized mode end to end against the real
-# daemon. Start with --storage=sq8, ingest over the wire, then require
-# STATS to report nonzero int8 code bytes and zero fp32 embedding bytes
-# (the per-shard accounting actually reflects quantized storage), and a
-# SHARDSTATS reply sized to the shard count. The ranking-quality
-# tripwire rides along: the release-built golden suite's sq8 test pins
-# Recall@10/NDCG@10 within the documented band of the fp32 run.
-if [[ -x "${SRV}" ]]; then
-  SQ8_OUT="$(mktemp)"
-  SQ8_STATS="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-    "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}" \
-    "${SRV_OUT:-}" "${SRV_JSON:-}" "${SQ8_OUT:-}" "${SQ8_STATS:-}"' EXIT
-  "${SRV}" --port=0 --users=800 --items=600 --storage=sq8 \
-    >"${SQ8_OUT}" 2>&1 &
-  SQ8_PID=$!
-  for _ in $(seq 1 150); do
-    grep -q 'listening on' "${SQ8_OUT}" && break
-    if ! kill -0 "${SQ8_PID}" 2>/dev/null; then break; fi
-    sleep 0.2
-  done
-  sq8_port="$(sed -n 's/.*listening on .*:\([0-9]*\)$/\1/p' "${SQ8_OUT}")"
-  if [[ -z "${sq8_port}" ]]; then
-    echo "sq8 smoke: FAILED — sccf_server --storage=sq8 never started:" >&2
-    cat "${SQ8_OUT}" >&2
-    exit 1
-  fi
-  {
-    printf 'INGEST 1 10 1 1 11 2 2 12 3\r\n'
-    printf 'STATS\r\n'
-    printf 'SHARDSTATS\r\n'
-    printf 'QUIT\r\n'
-  } | {
-    exec 9<>"/dev/tcp/127.0.0.1/${sq8_port}"
-    cat >&9
-    cat <&9
-    exec 9<&- 9>&-
-  } | tr -d '\r' >"${SQ8_STATS}"
-  sq8_stat() {  # value following a STATS/SHARDSTATS key line
-    awk -v key="$1" 'prev==key && /^:/ {sub(/^:/,""); print; exit}
-                     {prev=$0}' "${SQ8_STATS}"
-  }
-  sq8_code_bytes="$(sq8_stat code_bytes)"
-  sq8_emb_bytes="$(sq8_stat embedding_bytes)"
-  sq8_shard_arrays="$(grep -c '^\*14$' "${SQ8_STATS}" || true)"
-  kill -TERM "${SQ8_PID}"
-  sq8_exit=0
-  wait "${SQ8_PID}" || sq8_exit=$?
-  if [[ -z "${sq8_code_bytes}" || "${sq8_code_bytes}" -eq 0 ]]; then
-    echo "sq8 smoke: FAILED — STATS reported no int8 code bytes" \
-         "(code_bytes='${sq8_code_bytes}')" >&2
-    exit 1
-  fi
-  if [[ -z "${sq8_emb_bytes}" || "${sq8_emb_bytes}" -ne 0 ]]; then
-    echo "sq8 smoke: FAILED — sq8 server holds fp32 embedding bytes" \
-         "(embedding_bytes='${sq8_emb_bytes}')" >&2
-    exit 1
-  fi
-  if [[ -z "${sq8_shard_arrays}" || "${sq8_shard_arrays}" -eq 0 ]]; then
-    echo "sq8 smoke: FAILED — SHARDSTATS returned no per-shard arrays" >&2
-    exit 1
-  fi
-  if [[ "${sq8_exit}" -ne 0 ]]; then
-    echo "sq8 smoke: FAILED — SIGTERM drain exited ${sq8_exit}:" >&2
-    cat "${SQ8_OUT}" >&2
-    exit 1
-  fi
-  SQ8_GOLD="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-    "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}" \
-    "${SRV_OUT:-}" "${SRV_JSON:-}" "${SQ8_OUT:-}" "${SQ8_STATS:-}" \
-    "${SQ8_GOLD:-}"' EXIT
-  if ./build/release/tests/sccf_golden_test \
-       --gtest_filter='*Sq8RecallWithinDocumentedBandOfFp32*' \
-       >"${SQ8_GOLD}" 2>&1 &&
-     grep -q '\[  PASSED  \] 1 test' "${SQ8_GOLD}"; then
-    echo "sq8 smoke: OK (code_bytes=${sq8_code_bytes}," \
-         "${sq8_shard_arrays} shard arrays, recall band held)"
-  else
-    echo "sq8 smoke: FAILED — sq8 golden recall band test did not pass:" >&2
-    tail -20 "${SQ8_GOLD}" >&2
-    exit 1
-  fi
-else
-  echo "sq8 smoke: SKIPPED (sccf_server not built on this platform)"
-fi
-
-# Crash-recovery smoke: the end-to-end durability claim, against the
-# real daemon. Start sccf_server with --data_dir, ingest over the wire,
-# pin the byte-exact replies to a read-only command block, SIGKILL the
-# server (no drain, no destructors), restart it on the same directory,
-# and require the same block to produce the same bytes — bootstrap is
-# seed-deterministic and the journal replays the ingest, so any
-# divergence is a recovery bug. Uses bash's /dev/tcp; QUIT makes the
-# server close the connection, which terminates each capture.
-if [[ -x "${SRV}" ]]; then
-  CR_DIR="$(mktemp -d)"
-  CR_OUT="$(mktemp)"
-  CR_PRE="$(mktemp)"
-  CR_POST="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-    "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}" \
-    "${SRV_OUT:-}" "${SRV_JSON:-}" "${SQ8_OUT:-}" "${SQ8_STATS:-}" \
-    "${SQ8_GOLD:-}" "${CR_OUT:-}" "${CR_PRE:-}" \
-    "${CR_POST:-}"; rm -rf "${CR_DIR:-}"' EXIT
-  start_crash_server() {
-    "${SRV}" --port=0 --users=800 --items=600 --data_dir="${CR_DIR}" \
-      >"${CR_OUT}" 2>&1 &
-    CR_PID=$!
-    for _ in $(seq 1 150); do
-      grep -q 'listening on' "${CR_OUT}" && break
-      if ! kill -0 "${CR_PID}" 2>/dev/null; then break; fi
-      sleep 0.2
-    done
-    CR_PORT="$(sed -n 's/.*listening on .*:\([0-9]*\)$/\1/p' "${CR_OUT}")"
-    if [[ -z "${CR_PORT}" ]]; then
-      echo "crash-recovery smoke: FAILED — server never listened:" >&2
-      cat "${CR_OUT}" >&2
-      exit 1
-    fi
-  }
-  crash_client() {  # reads commands on stdin, prints the reply stream
-    exec 9<>"/dev/tcp/127.0.0.1/${CR_PORT}"
-    cat >&9
-    cat <&9
-    exec 9<&- 9>&-
-  }
-  # The read-only block whose replies get pinned (CRLF line endings, as
-  # the inline protocol expects). LASTSAVE stays out: we never SAVE, and
-  # STATS stays out only for stylistic parity — staged counts replay
-  # bit-identically too.
-  read_block() {
-    printf 'RECOMMEND 1 10\r\n'
-    printf 'NEIGHBORS 1\r\n'
-    printf 'HISTORY 1\r\n'
-    printf 'HISTORY 9000\r\n'
-    printf 'QUIT\r\n'
-  }
-  start_crash_server
-  {
-    printf 'INGEST 1 10 1 1 11 2 2 12 3 5 13 4\r\n'
-    printf 'INGEST 9000 14 5 9000 15 6 1 16 7\r\n'
-    printf 'QUIT\r\n'
-  } | crash_client >/dev/null
-  read_block | crash_client >"${CR_PRE}"
-  if ! grep -q '^:' "${CR_PRE}"; then
-    echo "crash-recovery smoke: FAILED — no data in pinned replies:" >&2
-    cat "${CR_PRE}" >&2
-    exit 1
-  fi
-  kill -KILL "${CR_PID}"
-  wait "${CR_PID}" 2>/dev/null || true
-  start_crash_server
-  read_block | crash_client >"${CR_POST}"
-  if ! cmp -s "${CR_PRE}" "${CR_POST}"; then
-    echo "crash-recovery smoke: FAILED — post-restart replies diverge" \
-         "from pre-crash replies:" >&2
-    diff "${CR_PRE}" "${CR_POST}" >&2 || true
-    exit 1
-  fi
-  kill -TERM "${CR_PID}"
-  cr_exit=0
-  wait "${CR_PID}" || cr_exit=$?
-  if [[ "${cr_exit}" -ne 0 ]]; then
-    echo "crash-recovery smoke: FAILED — restarted server's SIGTERM" \
-         "drain exited ${cr_exit}:" >&2
-    cat "${CR_OUT}" >&2
-    exit 1
-  fi
-  echo "crash-recovery smoke: OK (SIGKILL + restart is byte-identical)"
-else
-  echo "crash-recovery smoke: SKIPPED (sccf_server not built)"
-fi
-
-# Overload smoke: the availability claim under pressure, end to end.
-# Cap the daemon at 48 connections, then drive 96 pingpong connections
-# (plus bench_server's control connection, which connects first and
-# holds a slot like an operator session) with 20% ingest and a BGSAVE
-# fired mid-flood. Required: bench exits 0 (--expect_refusals makes
-# connection-cap refusals non-fatal; request errors and a failed BGSAVE
-# still are), nonzero QPS from the admitted fleet, a nonzero refused
-# count (the cap actually sheds instead of silently queueing), and a
-# clean SIGTERM drain. Then restart on the same data dir: the snapshot
-# the BGSAVE wrote mid-flood must recover (a probe must answer with
-# data), i.e. saving under overload corrupts nothing.
-if [[ -x "${SRV}" && -x "${SRV_BENCH}" ]]; then
-  OL_DIR="$(mktemp -d)"
-  OL_OUT="$(mktemp)"
-  OL_JSON="$(mktemp)"
-  OL_PROBE="$(mktemp)"
-  trap 'rm -f "${SMOKE_ERR:-}" "${SIMD_SCALAR_JSON:-}" \
-    "${SIMD_AUTO_JSON:-}" "${RT_JSON:-}" "${COLD_OUT:-}" \
-    "${SRV_OUT:-}" "${SRV_JSON:-}" "${SQ8_OUT:-}" "${SQ8_STATS:-}" \
-    "${SQ8_GOLD:-}" "${CR_OUT:-}" "${CR_PRE:-}" \
-    "${CR_POST:-}" "${OL_OUT:-}" "${OL_JSON:-}" "${OL_PROBE:-}"; \
-    rm -rf "${CR_DIR:-}" "${OL_DIR:-}"' EXIT
-  start_overload_server() {
-    "${SRV}" --port=0 --users=800 --items=600 --data_dir="${OL_DIR}" \
-      --max_connections=48 >"${OL_OUT}" 2>&1 &
-    OL_PID=$!
-    for _ in $(seq 1 150); do
-      grep -q 'listening on' "${OL_OUT}" && break
-      if ! kill -0 "${OL_PID}" 2>/dev/null; then break; fi
-      sleep 0.2
-    done
-    OL_PORT="$(sed -n 's/.*listening on .*:\([0-9]*\)$/\1/p' "${OL_OUT}")"
-    if [[ -z "${OL_PORT}" ]]; then
-      echo "overload smoke: FAILED — server never started listening:" >&2
-      cat "${OL_OUT}" >&2
-      exit 1
-    fi
-  }
-  start_overload_server
-  ol_users="$(sed -n 's/^corpus users=\([0-9]*\).*/\1/p' "${OL_OUT}")"
-  ol_items="$(sed -n 's/^corpus users=[0-9]* items=\([0-9]*\)$/\1/p' \
-    "${OL_OUT}")"
-  if ! "${SRV_BENCH}" --port="${OL_PORT}" --users="${ol_users}" \
-       --items="${ol_items}" --duration=2 --connections=96 \
-       --ingest_ratios=0.2 --save_during_load=bgsave --expect_refusals \
-       --json="${OL_JSON}" >/dev/null; then
-    echo "overload smoke: FAILED — bench_server reported request" \
-         "errors or a failed BGSAVE" >&2
-    kill -TERM "${OL_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  ol_qps="$(sed -n 's/.*"connections": 96, .*"qps": \([0-9.]*\).*/\1/p' \
-    "${OL_JSON}")"
-  ol_refused="$(sed -n 's/.*"refused": \([0-9]*\).*/\1/p' "${OL_JSON}")"
-  if [[ -z "${ol_qps}" ]] ||
-     ! awk -v q="${ol_qps}" 'BEGIN{exit !(q > 0)}'; then
-    echo "overload smoke: FAILED — admitted fleet made no progress" \
-         "(qps='${ol_qps}')" >&2
-    kill -TERM "${OL_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  if [[ -z "${ol_refused}" || "${ol_refused}" -eq 0 ]]; then
-    echo "overload smoke: FAILED — 96 connections against a cap of 48" \
-         "produced no refusals (refused='${ol_refused}')" >&2
-    kill -TERM "${OL_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  kill -TERM "${OL_PID}"
-  ol_exit=0
-  wait "${OL_PID}" || ol_exit=$?
-  if [[ "${ol_exit}" -ne 0 ]]; then
-    echo "overload smoke: FAILED — SIGTERM drain under overload exited" \
-         "${ol_exit}:" >&2
-    cat "${OL_OUT}" >&2
-    exit 1
-  fi
-  start_overload_server
-  {
-    printf 'RECOMMEND 1 10\r\n'
-    printf 'QUIT\r\n'
-  } | {
-    exec 9<>"/dev/tcp/127.0.0.1/${OL_PORT}"
-    cat >&9
-    cat <&9
-    exec 9<&- 9>&-
-  } >"${OL_PROBE}"
-  if ! grep -q '^:' "${OL_PROBE}"; then
-    echo "overload smoke: FAILED — restart on the mid-flood BGSAVE" \
-         "snapshot returned no data:" >&2
-    cat "${OL_PROBE}" >&2
-    kill -TERM "${OL_PID}" 2>/dev/null || true
-    exit 1
-  fi
-  kill -TERM "${OL_PID}"
-  ol_exit=0
-  wait "${OL_PID}" || ol_exit=$?
-  if [[ "${ol_exit}" -ne 0 ]]; then
-    echo "overload smoke: FAILED — restarted server's SIGTERM drain" \
-         "exited ${ol_exit}:" >&2
-    cat "${OL_OUT}" >&2
-    exit 1
-  fi
-  echo "overload smoke: OK (${ol_qps} qps past a 48-conn cap," \
-       "${ol_refused} refused, mid-flood BGSAVE recovered)"
-else
-  echo "overload smoke: SKIPPED (sccf_server not built on this platform)"
-fi
-
 # Recovery suites under AddressSanitizer: the fault-injection tests feed
 # corrupted bytes through every decoder, which is exactly where an
 # out-of-bounds read would hide. `-L crash` is the fork/SIGKILL suite;
@@ -629,12 +246,13 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
   ASAN_TARGETS=(persist_test recovery_test)
-  # The syscall fault-injection server suite (EINTR storms, short
-  # writes, EMFILE, ENOSPC through the reactor) is crash-labeled so the
-  # ctest below picks it up, but it is Linux-only — build it where the
-  # server itself built.
-  if [[ -x "${SRV}" ]]; then
-    ASAN_TARGETS+=(server_fault_test)
+  # The server suites are crash-labeled too, but Linux-only (epoll) —
+  # build them where the release daemon built: the syscall
+  # fault-injection suite (EINTR storms, short writes, EMFILE, ENOSPC
+  # through the reactor) and the suite that drives the ASan-built
+  # sccf_server binary through SIGTERM drains and SIGKILL restarts.
+  if [[ -x build/release/sccf_server ]]; then
+    ASAN_TARGETS+=(server_fault_test server_binary_test sccf_server_main)
   fi
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null

@@ -36,16 +36,20 @@
 //                          (machine-crash durability; see
 //                          docs/OPERATIONS.md for the tradeoff)
 //
-// Startup prints two machine-parsable lines (scripts/ci.sh and
-// bench/bench_server consume them):
+// Startup prints two machine-parsable lines (tests/server_binary_test.cc
+// and perfbench/run.py consume them):
 //   corpus users=<post-filter users> items=<post-filter items>
 //   listening on <host>:<port>
+//
+// Exit codes: 0 after a SIGTERM/SIGINT drain, 2 for an unknown flag or a
+// bad flag value, 1 when the corpus bootstrap, --data_dir recovery or
+// the listener fails. Every nonzero exit prints its reason on stderr.
 
 #include <csignal>
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <string>
 
 #include "data/split.h"
@@ -53,7 +57,7 @@
 #include "models/fism.h"
 #include "online/engine.h"
 #include "server/server.h"
-#include "util/logging.h"
+#include "util/status.h"
 #include "util/string_util.h"
 
 namespace {
@@ -93,85 +97,100 @@ struct Config {
   bool journal_fsync = false;
 };
 
+// Parses argv into `cfg`. An unknown flag or a bad value prints the
+// reason on stderr and returns false.
+bool ParseFlags(int argc, char** argv, Config* cfg) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const bool has_value = eq != std::string::npos;
+    const std::string value = has_value ? arg.substr(eq + 1) : "";
+    int64_t v = 0;
+    // An integer value in [lo, hi], left in `v`.
+    const auto in_range = [&](int64_t lo, int64_t hi) {
+      return has_value && ParseInt64(value, &v) && v >= lo && v <= hi;
+    };
+    bool ok = true;
+    if (name == "--host") {
+      ok = has_value;
+      cfg->server.bind_address = value;
+    } else if (name == "--port") {
+      ok = in_range(0, 65535);
+      cfg->server.port = static_cast<uint16_t>(v);
+    } else if (name == "--max_connections") {
+      ok = in_range(1, std::numeric_limits<int>::max());
+      cfg->server.max_connections = static_cast<int>(v);
+    } else if (name == "--read_buffer") {
+      ok = in_range(64, kMax);
+      cfg->server.read_buffer_limit = static_cast<size_t>(v);
+    } else if (name == "--drain_timeout") {
+      ok = in_range(std::numeric_limits<int64_t>::min(), kMax);
+      cfg->server.drain_timeout_ms = v;
+    } else if (name == "--idle_timeout") {
+      ok = in_range(0, kMax);
+      cfg->server.idle_timeout_ms = v;
+    } else if (name == "--write_stall_timeout") {
+      ok = in_range(0, kMax);
+      cfg->server.write_stall_timeout_ms = v;
+    } else if (name == "--max_inflight") {
+      ok = in_range(0, kMax);
+      cfg->server.max_inflight_bytes = static_cast<size_t>(v);
+    } else if (name == "--users") {
+      ok = in_range(1, kMax);
+      cfg->users = static_cast<size_t>(v);
+    } else if (name == "--items") {
+      ok = in_range(1, kMax);
+      cfg->items = static_cast<size_t>(v);
+    } else if (name == "--dim") {
+      ok = in_range(1, kMax);
+      cfg->dim = static_cast<size_t>(v);
+    } else if (name == "--shards") {
+      ok = in_range(0, kMax);
+      cfg->shards = static_cast<size_t>(v);
+    } else if (name == "--compaction") {
+      ok = in_range(0, kMax);
+      cfg->compaction = static_cast<size_t>(v);
+    } else if (name == "--compaction_interval") {
+      ok = in_range(0, kMax);
+      cfg->compaction_interval_ms = v;
+    } else if (name == "--storage") {
+      ok = quant::ParseStorage(value, &cfg->storage);
+    } else if (arg == "--background") {
+      cfg->background = true;
+    } else if (name == "--data_dir") {
+      ok = !value.empty();
+      cfg->data_dir = value;
+    } else if (arg == "--journal_fsync") {
+      cfg->journal_fsync = true;
+    } else if (name == "--seed") {
+      ok = in_range(0, kMax);
+      cfg->seed = static_cast<uint64_t>(v);
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: '%s'\n", name.c_str(),
+                   value.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// Startup failures after flag parsing: the reason on stderr, exit 1.
+int StartupFailure(const char* what, const Status& status) {
+  std::fprintf(stderr, "failed to %s: %s\n", what, status.ToString().c_str());
+  return 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto val = [&arg](const char* prefix) {
-      return arg.substr(std::strlen(prefix));
-    };
-    int64_t v = 0;
-    if (arg.rfind("--host=", 0) == 0) {
-      cfg.server.bind_address = val("--host=");
-    } else if (arg.rfind("--port=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--port="), &v) && v >= 0 && v <= 65535)
-          << "bad --port";
-      cfg.server.port = static_cast<uint16_t>(v);
-    } else if (arg.rfind("--max_connections=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--max_connections="), &v) && v >= 1)
-          << "bad --max_connections";
-      cfg.server.max_connections = static_cast<int>(v);
-    } else if (arg.rfind("--read_buffer=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--read_buffer="), &v) && v >= 64)
-          << "bad --read_buffer";
-      cfg.server.read_buffer_limit = static_cast<size_t>(v);
-    } else if (arg.rfind("--drain_timeout=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--drain_timeout="), &v))
-          << "bad --drain_timeout";
-      cfg.server.drain_timeout_ms = v;
-    } else if (arg.rfind("--idle_timeout=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--idle_timeout="), &v) && v >= 0)
-          << "bad --idle_timeout";
-      cfg.server.idle_timeout_ms = v;
-    } else if (arg.rfind("--write_stall_timeout=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--write_stall_timeout="), &v) && v >= 0)
-          << "bad --write_stall_timeout";
-      cfg.server.write_stall_timeout_ms = v;
-    } else if (arg.rfind("--max_inflight=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--max_inflight="), &v) && v >= 0)
-          << "bad --max_inflight";
-      cfg.server.max_inflight_bytes = static_cast<size_t>(v);
-    } else if (arg.rfind("--users=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--users="), &v) && v > 0) << "bad --users";
-      cfg.users = static_cast<size_t>(v);
-    } else if (arg.rfind("--items=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--items="), &v) && v > 0) << "bad --items";
-      cfg.items = static_cast<size_t>(v);
-    } else if (arg.rfind("--dim=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--dim="), &v) && v > 0) << "bad --dim";
-      cfg.dim = static_cast<size_t>(v);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--shards="), &v) && v >= 0)
-          << "bad --shards";
-      cfg.shards = static_cast<size_t>(v);
-    } else if (arg.rfind("--compaction=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--compaction="), &v) && v >= 0)
-          << "bad --compaction";
-      cfg.compaction = static_cast<size_t>(v);
-    } else if (arg.rfind("--compaction_interval=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--compaction_interval="), &v) && v >= 0)
-          << "bad --compaction_interval";
-      cfg.compaction_interval_ms = v;
-    } else if (arg.rfind("--storage=", 0) == 0) {
-      SCCF_CHECK(quant::ParseStorage(val("--storage="), &cfg.storage))
-          << "bad --storage (expected fp32 or sq8)";
-    } else if (arg == "--background") {
-      cfg.background = true;
-    } else if (arg.rfind("--data_dir=", 0) == 0) {
-      cfg.data_dir = val("--data_dir=");
-      SCCF_CHECK(!cfg.data_dir.empty()) << "bad --data_dir";
-    } else if (arg == "--journal_fsync") {
-      cfg.journal_fsync = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      SCCF_CHECK(ParseInt64(val("--seed="), &v) && v >= 0) << "bad --seed";
-      cfg.seed = static_cast<uint64_t>(v);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  if (!ParseFlags(argc, argv, &cfg)) return 2;
 
   // Install the handlers before the expensive bootstrap: SIGINT and
   // SIGTERM both mean "drain gracefully" from the very first instant,
@@ -192,7 +211,7 @@ int main(int argc, char** argv) {
   syn.seed = cfg.seed;
   data::SyntheticGenerator gen(syn);
   auto dataset = gen.Generate();
-  SCCF_CHECK(dataset.ok()) << dataset.status().ToString();
+  if (!dataset.ok()) return StartupFailure("generate", dataset.status());
   data::LeaveOneOutSplit split(*dataset);
 
   // Untrained FISM: real inference path, deterministic weights. A
@@ -201,7 +220,8 @@ int main(int argc, char** argv) {
   fopts.dim = cfg.dim;
   fopts.epochs = 0;
   models::Fism fism(fopts);
-  SCCF_CHECK(fism.Fit(split).ok());
+  const Status fit = fism.Fit(split);
+  if (!fit.ok()) return StartupFailure("fit", fit);
 
   online::Engine::Options eopts;
   eopts.num_shards = cfg.shards;
@@ -217,15 +237,11 @@ int main(int argc, char** argv) {
   // the corpus state, then (with --data_dir) loads the snapshot and
   // replays the journal tail on top.
   const Status booted = engine.BootstrapFromSplit(split);
-  SCCF_CHECK(booted.ok()) << booted.ToString();
+  if (!booted.ok()) return StartupFailure("bootstrap", booted);
 
   server::Server srv(engine, cfg.server);
   const Status started = srv.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "failed to start: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
+  if (!started.ok()) return StartupFailure("start", started);
   g_server.store(&srv, std::memory_order_release);
   // A signal that landed between handler installation and here saw a
   // null g_server and could only set the flag — honor it now.

@@ -22,8 +22,6 @@
 
 #include "util/syscall_shim.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,7 +29,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -47,6 +44,7 @@
 #include "server/dispatch.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "testing/resp_client.h"
 #include "testing/temp_dir.h"
 #include "util/logging.h"
 
@@ -196,61 +194,7 @@ std::string Dispatch(online::Engine& engine, const Command& cmd) {
   return out;
 }
 
-/// Minimal blocking loopback client (same shape as server_test's).
-class Client {
- public:
-  explicit Client(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SCCF_CHECK(fd_ >= 0);
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void Send(std::string_view bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t w = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      ASSERT_GT(w, 0) << "send failed: " << std::strerror(errno);
-      sent += static_cast<size_t>(w);
-    }
-  }
-
-  std::string ReadReply() {
-    std::string reply;
-    while (true) {
-      switch (parser_.Next(&reply)) {
-        case ReplyParser::Result::kReply:
-          return reply;
-        case ReplyParser::Result::kError:
-          ADD_FAILURE() << "reply stream desynchronized";
-          return "";
-        case ReplyParser::Result::kNeedMore:
-          break;
-      }
-      char buf[4096];
-      const ssize_t r = ::read(fd_, buf, sizeof(buf));
-      if (r <= 0) return "";  // EOF or timeout
-      parser_.Feed(std::string_view(buf, static_cast<size_t>(r)));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  ReplyParser parser_;
-};
+using sccf::testing::RespClient;
 
 /// The command mix the storm tests replay against a twin engine.
 const std::vector<Command>& Script() {
@@ -288,7 +232,7 @@ TEST_F(ServerFaultTest, EintrStormRepliesBitIdentical) {
   Server server(*served, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
 
   // One-at-a-time, then the same mix pipelined in a single write.
@@ -328,7 +272,7 @@ TEST_F(ServerFaultTest, ShortWritesDeliverFullReplies) {
   Server server(*served, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
   // RECOMMEND's multi-KB array reply arrives in 7-byte slices; framing
   // and content must survive unchanged.
@@ -357,7 +301,7 @@ TEST_F(ServerFaultTest, EmfileAcceptBacksOffWithoutBusySpin) {
   // The TCP handshake completes in the listen backlog regardless of the
   // EMFILE storm; the request waits there until a descriptor frees up.
   const auto t0 = std::chrono::steady_clock::now();
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
   client.Send("PING\r\n");
   EXPECT_EQ(client.ReadReply(), "+PONG\r\n");
@@ -446,8 +390,8 @@ TEST_F(ServerFaultTest, WedgedFsyncBgSaveKeepsServingAndSecondGetsBusy) {
   Server server(*engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client saver(server.port());
-  Client other(server.port());
+  RespClient saver(server.port());
+  RespClient other(server.port());
   ASSERT_TRUE(saver.connected());
   ASSERT_TRUE(other.connected());
 

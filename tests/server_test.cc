@@ -17,13 +17,7 @@
 
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +33,7 @@
 #include "server/dispatch.h"
 #include "server/protocol.h"
 #include "server/timer_wheel.h"
+#include "testing/resp_client.h"
 #include "testing/temp_dir.h"
 #include "util/logging.h"
 
@@ -258,78 +253,7 @@ TEST_F(ServerTest, DispatchLastSaveNeverSavedIsMinusOne) {
 
 // ---------------------------------------------------- loopback helpers
 
-/// Blocking loopback client with a receive timeout (so a server bug
-/// fails the test instead of hanging it).
-class Client {
- public:
-  /// `rcvbuf` > 0 shrinks the receive buffer before connecting — the
-  /// overload tests use a tiny window so an unread pipeline backs up
-  /// into the server's in-flight account instead of kernel buffers.
-  explicit Client(uint16_t port, int rcvbuf = 0) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    SCCF_CHECK(fd_ >= 0);
-    timeval tv{};
-    tv.tv_sec = 10;
-    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    if (rcvbuf > 0) {
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void Send(std::string_view bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t w =
-          ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-      ASSERT_GT(w, 0) << "send failed: " << std::strerror(errno);
-      sent += static_cast<size_t>(w);
-    }
-  }
-
-  /// Reads exactly one complete reply (raw bytes). Empty on EOF/timeout.
-  std::string ReadReply() {
-    std::string reply;
-    while (true) {
-      switch (parser_.Next(&reply)) {
-        case ReplyParser::Result::kReply:
-          return reply;
-        case ReplyParser::Result::kError:
-          ADD_FAILURE() << "reply stream desynchronized";
-          return "";
-        case ReplyParser::Result::kNeedMore:
-          break;
-      }
-      char buf[4096];
-      const ssize_t r = ::read(fd_, buf, sizeof(buf));
-      if (r <= 0) return "";  // EOF or timeout
-      parser_.Feed(std::string_view(buf, static_cast<size_t>(r)));
-    }
-  }
-
-  /// True when the peer has closed (read returns EOF after pending
-  /// replies are drained).
-  bool ReadEof() {
-    char buf[4096];
-    const ssize_t r = ::read(fd_, buf, sizeof(buf));
-    return r == 0;
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  ReplyParser parser_;
-};
+using sccf::testing::RespClient;
 
 std::string EncodeMultibulk(const Command& cmd) {
   std::string out;
@@ -367,7 +291,7 @@ TEST_F(ServerTest, LoopbackBitIdenticalToDirectDispatch) {
       {"STATS", {}},
   };
 
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
   for (const Command& cmd : script) {
     client.Send(EncodeMultibulk(cmd));
@@ -401,8 +325,8 @@ TEST_F(ServerTest, MalformedFramePoisonsOnlyItsConnection) {
   Server server(*engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client healthy(server.port());
-  Client broken(server.port());
+  RespClient healthy(server.port());
+  RespClient broken(server.port());
   ASSERT_TRUE(healthy.connected());
   ASSERT_TRUE(broken.connected());
 
@@ -442,7 +366,7 @@ TEST_F(ServerTest, GracefulDrainCompletesInFlightPipeline) {
   for (int i = 0; i < kPipeline; ++i) {
     batch += "RECOMMEND " + std::to_string(i % 50) + " 10\r\n";
   }
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
   client.Send(batch);
   const std::string first = client.ReadReply();
@@ -473,8 +397,8 @@ TEST_F(ServerTest, SlowConsumerBacklogClosesOnlyItsConnection) {
   Server server(*engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client greedy(server.port());
-  Client healthy(server.port());
+  RespClient greedy(server.port());
+  RespClient healthy(server.port());
   ASSERT_TRUE(greedy.connected());
   ASSERT_TRUE(healthy.connected());
 
@@ -508,12 +432,12 @@ TEST_F(ServerTest, ConnectionCapRefusesLoudly) {
   Server server(*engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client first(server.port());
+  RespClient first(server.port());
   ASSERT_TRUE(first.connected());
   first.Send("PING\r\n");
   EXPECT_EQ(first.ReadReply(), "+PONG\r\n");  // ensures accept happened
 
-  Client second(server.port());
+  RespClient second(server.port());
   ASSERT_TRUE(second.connected());  // kernel accepts; server refuses
   const std::string refusal = second.ReadReply();
   EXPECT_EQ(refusal, "-OVERLOADED max connections reached\r\n");
@@ -524,7 +448,7 @@ TEST_F(ServerTest, ConnectionCapRefusesLoudly) {
   first.Send("QUIT\r\n");
   EXPECT_EQ(first.ReadReply(), "+OK\r\n");
   EXPECT_TRUE(first.ReadEof());
-  Client third(server.port());
+  RespClient third(server.port());
   ASSERT_TRUE(third.connected());
   third.Send("PING\r\n");
   EXPECT_EQ(third.ReadReply(), "+PONG\r\n");
@@ -578,7 +502,7 @@ TEST_F(ServerTest, IdleTimeoutReapsWithExplicitErrorAndFreesSlot) {
   Server server(*engine, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client idler(server.port());
+  RespClient idler(server.port());
   ASSERT_TRUE(idler.connected());
   idler.Send("PING\r\n");
   EXPECT_EQ(idler.ReadReply(), "+PONG\r\n");
@@ -589,7 +513,7 @@ TEST_F(ServerTest, IdleTimeoutReapsWithExplicitErrorAndFreesSlot) {
   EXPECT_TRUE(idler.ReadEof());
 
   // The slot is genuinely free again (max_connections = 1).
-  Client next(server.port());
+  RespClient next(server.port());
   ASSERT_TRUE(next.connected());
   next.Send("PING\r\n");
   EXPECT_EQ(next.ReadReply(), "+PONG\r\n");
@@ -616,8 +540,8 @@ TEST_F(ServerTest, ByteBudgetShedsNewCommandsWhilePipelineCompletes) {
   // genuinely cannot drain (greedy never reads; the kernel path is
   // saturated). Polling for a merely *transient* over-budget reading
   // would race the flush that absorbs it.
-  Client greedy(server.port(), 4096);
-  Client healthy(server.port());
+  RespClient greedy(server.port(), 4096);
+  RespClient healthy(server.port());
   ASSERT_TRUE(greedy.connected());
   ASSERT_TRUE(healthy.connected());
   constexpr int kWave = 256;
@@ -702,7 +626,7 @@ TEST_F(ServerTest, BgSaveSnapshotBitIdenticalToQuiescedSave) {
   opts.port = 0;
   Server server(*served, opts);
   ASSERT_TRUE(server.Start().ok());
-  Client client(server.port());
+  RespClient client(server.port());
   ASSERT_TRUE(client.connected());
 
   // Identical ingest on both sides, then quiesce and save: the server
@@ -748,8 +672,8 @@ TEST_F(ServerTest, BgSaveUnderConcurrentIngestRecoversBitIdentical) {
   Server server(*served, opts);
   ASSERT_TRUE(server.Start().ok());
 
-  Client ingester(server.port());
-  Client saver(server.port());
+  RespClient ingester(server.port());
+  RespClient saver(server.port());
   ASSERT_TRUE(ingester.connected());
   ASSERT_TRUE(saver.connected());
 
