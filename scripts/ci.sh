@@ -240,12 +240,14 @@ fi
 # corrupted bytes through every decoder, which is exactly where an
 # out-of-bounds read would hide. `-L crash` is the fork/SIGKILL suite;
 # persist_test (plain tier1) carries the decoder fault matrices, so it
-# runs explicitly alongside. Skip gracefully where the toolchain has no
-# -fsanitize=address.
+# runs explicitly alongside. So does index_test: the top-k selector
+# appends every scanned row into spare buffer space before deciding to
+# keep it, so an off-by-one there is a heap overflow only ASan sees.
+# Skip gracefully where the toolchain has no -fsanitize=address.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
-  ASAN_TARGETS=(persist_test recovery_test)
+  ASAN_TARGETS=(persist_test index_test recovery_test)
   # The server suites are crash-labeled too, but Linux-only (epoll) —
   # build them where the release daemon built: the syscall
   # fault-injection suite (EINTR storms, short writes, EMFILE, ENOSPC
@@ -256,6 +258,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
   fi
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null
+  ./build/asan/tests/index_test >/dev/null
   ctest --preset asan -L crash
   echo "asan recovery gate: OK"
 else

@@ -1,16 +1,16 @@
 #include "core/candidates.h"
 
 #include <cmath>
+#include <limits>
 
 namespace sccf::core {
 
 CandidateList TopNFromScores(const std::vector<float>& scores, size_t n,
                              float floor) {
-  index::TopKAccumulator acc(n);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    if (scores[i] <= floor) continue;
-    acc.Offer(static_cast<int>(i), scores[i]);
-  }
+  // The accumulator's floor is inclusive; this one is not.
+  index::TopKAccumulator acc(
+      n, std::nextafter(floor, std::numeric_limits<float>::infinity()));
+  acc.OfferDense(0, scores.data(), scores.size());
   return acc.Take();
 }
 

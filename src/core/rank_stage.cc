@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/candidates.h"
-#include "core/topk_merge.h"
 #include "simd/kernels.h"
 #include "util/logging.h"
 
@@ -57,7 +56,7 @@ StatusOr<std::vector<index::Neighbor>> SccfRankStage::Rerank(
   for (size_t i = 0; i < candidates.size(); ++i) {
     out[i] = {candidates[i], ui[i] + options_.uu_weight * uu[i]};
   }
-  SortNeighborsDescending(&out);
+  std::sort(out.begin(), out.end(), index::NeighborBefore);
   return out;
 }
 

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/topk_merge.h"
 #include "util/coding.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -82,7 +81,7 @@ std::unique_ptr<index::VectorIndex> RealTimeService::MakeShardIndex(
   switch (options_.index_kind) {
     case IndexKind::kBruteForce:
       return std::make_unique<index::BruteForceIndex>(
-          d, options_.metric, /*parallel=*/false, options_.storage);
+          d, options_.metric, options_.storage);
     case IndexKind::kIvfFlat: {
       index::IvfFlatIndex::Options ivf = options_.ivf;
       ivf.nlist = std::min(ivf.nlist, std::max<size_t>(1, shard_population));
@@ -188,9 +187,9 @@ Status RealTimeService::BootstrapFromSplit(
   return Bootstrap(users);
 }
 
-StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchShard(
-    const Shard& shard, const float* query, size_t k,
-    int exclude_user) const {
+Status RealTimeService::SearchShard(const Shard& shard, const float* query,
+                                    size_t k, int exclude_user,
+                                    index::TopKAccumulator* acc) const {
   // Age policy, query side: an overdue buffer is drained before the
   // search, under an opportunistically-acquired write lock. try_to_lock
   // keeps a herd of concurrent readers from queueing on the exclusive
@@ -211,34 +210,31 @@ StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchShard(
     }
   }
   std::shared_lock<std::shared_mutex> lock(shard.mu);
-  if (shard.pending == nullptr || shard.pending->empty()) {
-    return shard.index->Search(query, k, exclude_user);
-  }
+  const size_t staged = shard.pending == nullptr ? 0 : shard.pending->size();
   // Staged ids shadow their stale indexed rows, so ask the index for up
   // to `staged` extra hits — dropping the shadowed ones can then never
   // starve the merge below k results.
   SCCF_ASSIGN_OR_RETURN(
       std::vector<index::Neighbor> hits,
-      shard.index->Search(query, k + shard.pending->size(), exclude_user));
-  index::TopKAccumulator acc(k);
+      shard.index->Search(query, k + staged, exclude_user, acc->Floor()));
   for (const index::Neighbor& nb : hits) {
-    if (!shard.pending->contains(nb.id)) acc.Offer(nb.id, nb.score);
+    if (staged == 0 || !shard.pending->contains(nb.id)) {
+      acc->Offer(nb.id, nb.score);
+    }
   }
-  shard.pending->OfferTo(query, exclude_user, &acc);
-  return acc.Take();
+  if (staged > 0) shard.pending->OfferTo(query, exclude_user, acc);
+  return Status::OK();
 }
 
 StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchAllShards(
     const float* query, size_t k, int exclude_user) const {
-  if (shards_.size() == 1) {  // single-shard fast path: no merge layer
-    return SearchShard(*shards_[0], query, k, exclude_user);
+  // One selector over every shard; each shard's search starts from the
+  // k-th score the shards before it already hold.
+  index::TopKAccumulator acc(k);
+  for (const auto& shard : shards_) {
+    SCCF_RETURN_NOT_OK(SearchShard(*shard, query, k, exclude_user, &acc));
   }
-  std::vector<std::vector<index::Neighbor>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    SCCF_ASSIGN_OR_RETURN(per_shard[s],
-                          SearchShard(*shards_[s], query, k, exclude_user));
-  }
-  return MergeTopK(std::move(per_shard), k);
+  return acc.Take();
 }
 
 StatusOr<RealTimeService::UpdateTiming> RealTimeService::OnInteraction(

@@ -36,8 +36,9 @@ class IngestSink;
 /// std::shared_mutex, so concurrent OnInteraction calls for users in
 /// different shards never contend. Queries (Neighbors /
 /// RecommendUserBased) fan a per-shard top-k search out under shared
-/// (read) locks — one shard at a time, never holding two locks — and
-/// merge the per-shard lists with the k-way merger in core/topk_merge.h.
+/// (read) locks — one shard at a time, never holding two locks — into one
+/// exact top-k selector (index::TopKAccumulator), passing each shard the
+/// k-th score found so far so it can skip rows that cannot enter.
 ///
 /// Thread-safety contract:
 ///  - Bootstrap must be called exactly once and must complete (its return
@@ -411,14 +412,13 @@ class RealTimeService {
   /// the vote list, and records infer/index timings.
   Status RefreshTouchedUser(Shard& shard, int user, float* emb,
                             UpdateTiming* timing);
-  /// One shard's top-k under its shared lock: backend Search results
-  /// (staged ids shadowed) merged with the shard's write buffer.
-  StatusOr<std::vector<index::Neighbor>> SearchShard(const Shard& shard,
-                                                     const float* query,
-                                                     size_t k,
-                                                     int exclude_user) const;
-  /// Per-shard top-k fan-out (shared lock per shard, one at a time) +
-  /// k-way merge. `exclude_user` only matches in its own shard.
+  /// Offers one shard's candidates for the top-k to `acc` under the
+  /// shard's shared lock: the backend's Search hits at or above
+  /// acc->Floor() (staged ids shadowed) and the shard's write buffer.
+  Status SearchShard(const Shard& shard, const float* query, size_t k,
+                     int exclude_user, index::TopKAccumulator* acc) const;
+  /// Top-k over every shard (shared lock per shard, one at a time), all
+  /// fed into one selector. `exclude_user` only matches in its own shard.
   StatusOr<std::vector<index::Neighbor>> SearchAllShards(
       const float* query, size_t k, int exclude_user) const;
   /// Drains `shard.pending` into its index and clears the age stamp.

@@ -19,7 +19,7 @@ std::unique_ptr<index::VectorIndex> UserBasedComponent::MakeIndex(
   switch (options_.index_kind) {
     case IndexKind::kBruteForce:
       return std::make_unique<index::BruteForceIndex>(
-          d, options_.metric, /*parallel=*/false, options_.storage);
+          d, options_.metric, options_.storage);
     case IndexKind::kIvfFlat:
       return std::make_unique<index::IvfFlatIndex>(d, options_.metric,
                                                    options_.ivf,

@@ -1,19 +1,15 @@
 #include "index/brute_force_index.h"
 
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "util/coding.h"
-#include "util/thread_pool.h"
 
 namespace sccf::index {
 
-BruteForceIndex::BruteForceIndex(size_t dim, Metric metric, bool parallel,
+BruteForceIndex::BruteForceIndex(size_t dim, Metric metric,
                                  quant::Storage storage)
-    : metric_(metric),
-      parallel_(parallel),
-      rows_(dim, storage, metric == Metric::kCosine) {}
+    : metric_(metric), rows_(dim, storage, metric == Metric::kCosine) {}
 
 Status BruteForceIndex::Add(int id, const float* vec) {
   if (id < 0) return Status::InvalidArgument("id must be non-negative");
@@ -23,7 +19,6 @@ Status BruteForceIndex::Add(int id, const float* vec) {
     return Status::OK();
   }
   const size_t s = rows_.Append(vec);
-  if (id != static_cast<int>(s)) ids_are_slots_ = false;
   ids_.push_back(id);
   slot_[id] = s;
   return Status::OK();
@@ -36,13 +31,9 @@ Status BruteForceIndex::Remove(int id) {
   }
   const size_t s = it->second;
   const size_t last = ids_.size() - 1;
-  if (s != last) {
-    // Swap the last row into the vacated slot. The moved id almost never
-    // equals its new slot, so the ids==slots fast path is conservatively
-    // dropped.
+  if (s != last) {  // swap the last row into the vacated slot
     ids_[s] = ids_[last];
     slot_[ids_[s]] = s;
-    ids_are_slots_ = false;
   }
   rows_.RemoveSwap(s);
   ids_.pop_back();
@@ -58,62 +49,18 @@ IndexMemoryStats BruteForceIndex::memory_stats() const {
 }
 
 StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
-    const float* query, size_t k, int exclude_id) const {
+    const float* query, size_t k, int exclude_id, float floor) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   const quant::RowStore::Query q = rows_.PrepareQuery(query);
-  const size_t n = ids_.size();
-
-  // Fast path: ids equal slots (the common case — SCCF inserts users
-  // 0..n-1 in order), so TopKDot's row-order tie handling matches
-  // TopKAccumulator's id-order tie handling exactly and the whole scan
-  // stays inside the batched kernel.
-  if (!parallel_ || n < 4096) {
-    if (ids_are_slots_) {
-      ptrdiff_t exclude_row = -1;
-      if (exclude_id >= 0) {
-        auto it = slot_.find(exclude_id);
-        if (it != slot_.end()) exclude_row = it->second;
-      }
-      std::vector<std::pair<int, float>> top;
-      rows_.TopK(q, k, exclude_row, &top);
-      std::vector<Neighbor> out;
-      out.reserve(top.size());
-      for (const auto& [row, score] : top) out.push_back({row, score});
-      return out;
-    }
-    TopKAccumulator acc(k);
-    ScanRange(q, 0, n, exclude_id, &acc);
-    return acc.Take();
-  }
-
-  std::mutex mu;
-  TopKAccumulator merged(k);
-  ParallelForBlocked(0, n, [&](size_t lo, size_t hi) {
-    TopKAccumulator local(k);
-    ScanRange(q, lo, hi, exclude_id, &local);
-    std::vector<Neighbor> part = local.Take();
-    std::lock_guard<std::mutex> lock(mu);
-    for (const Neighbor& nb : part) merged.Offer(nb.id, nb.score);
-  });
-  return merged.Take();
-}
-
-void BruteForceIndex::ScanRange(const quant::RowStore::Query& q, size_t lo,
-                                size_t hi, int exclude_id,
-                                TopKAccumulator* acc) const {
-  // Score a block of rows at a time through the batched kernel, then offer
-  // sequentially — identical offer order (and therefore identical tie
-  // handling) to the old one-dot-per-row loop.
+  TopKAccumulator acc(k, floor);
   constexpr size_t kBlock = 256;
   float scores[kBlock];
-  for (size_t s = lo; s < hi; s += kBlock) {
-    const size_t len = std::min(kBlock, hi - s);
+  for (size_t s = 0; s < ids_.size(); s += kBlock) {
+    const size_t len = std::min(kBlock, ids_.size() - s);
     rows_.ScoreBatch(q, s, len, scores);
-    for (size_t j = 0; j < len; ++j) {
-      if (ids_[s + j] == exclude_id) continue;
-      acc->Offer(ids_[s + j], scores[j]);
-    }
+    acc.OfferBlock(ids_.data() + s, scores, len, exclude_id);
   }
+  return acc.Take();
 }
 
 // Payload layout (inside the persist layer's checksummed framing):
@@ -124,11 +71,16 @@ void BruteForceIndex::ScanRange(const quant::RowStore::Query& q, size_t lo,
 // Rows are stored exactly as held in memory (already normalised when the
 // metric is cosine; codes and params verbatim in sq8 mode), so restore is
 // a memcpy, not a re-normalisation or re-quantization — that is what
-// makes recovery bit-exact.
+// makes recovery bit-exact. ids_are_slots is 1 when ids[i] == i for every
+// slot; Search no longer reads it, but it stays so the blob format holds.
 void BruteForceIndex::SerializeTo(std::string* out) const {
+  bool ids_are_slots = true;
+  for (size_t i = 0; i < ids_.size(); ++i) {
+    ids_are_slots &= ids_[i] == static_cast<int>(i);
+  }
   PutU8(out, 'B');
   PutU8(out, static_cast<uint8_t>(storage()));
-  PutU8(out, ids_are_slots_ ? 1 : 0);
+  PutU8(out, ids_are_slots ? 1 : 0);
   PutFixed64(out, static_cast<uint64_t>(dim()));
   PutFixed64(out, static_cast<uint64_t>(ids_.size()));
   for (int id : ids_) PutI32(out, id);
@@ -167,7 +119,7 @@ Status BruteForceIndex::DeserializeFrom(std::string_view in) {
     if (!slot.emplace(id, static_cast<size_t>(i)).second) {
       return Status::InvalidArgument("duplicate id in index blob");
     }
-    // The flag licenses Search to report slots as ids, so it must be true.
+    // A set flag must be true of the ids it describes.
     if (ids_are_slots != 0 && static_cast<uint64_t>(id) != i) {
       return Status::InvalidArgument("index blob ids are not their slots");
     }
@@ -179,7 +131,6 @@ Status BruteForceIndex::DeserializeFrom(std::string_view in) {
     return Status::InvalidArgument("trailing bytes in index blob");
   }
 
-  ids_are_slots_ = ids_are_slots != 0;
   ids_ = std::move(ids);
   slot_ = std::move(slot);
   rows_ = std::move(rows);

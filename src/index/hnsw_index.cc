@@ -228,8 +228,8 @@ IndexMemoryStats HnswIndex::memory_stats() const {
 }
 
 StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
-                                                  size_t k,
-                                                  int exclude_id) const {
+                                                  size_t k, int exclude_id,
+                                                  float floor) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
   if (entry_point_ < 0) return std::vector<Neighbor>{};
 
@@ -244,7 +244,7 @@ StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
 
   // Filter tombstones and duplicate external ids (an id can appear once
   // live and multiple times tombstoned after updates).
-  TopKAccumulator acc(k);
+  TopKAccumulator acc(k, floor);
   for (const Neighbor& nb : raw) {
     const GraphNode& node = nodes_[nb.id];
     if (node.deleted) continue;

@@ -159,8 +159,8 @@ IndexMemoryStats IvfFlatIndex::memory_stats() const {
 }
 
 StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
-                                                     size_t k,
-                                                     int exclude_id) const {
+                                                     size_t k, int exclude_id,
+                                                     float floor) const {
   if (!trained_) {
     return Status::FailedPrecondition("IvfFlatIndex::Train must run first");
   }
@@ -177,7 +177,7 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
   const size_t nprobe = std::min(options_.nprobe, nlist);
   std::partial_sort(order.begin(), order.begin() + nprobe, order.end());
 
-  TopKAccumulator acc(k);
+  TopKAccumulator acc(k, floor);
   for (size_t p = 0; p < nprobe; ++p) {
     const List& l = lists_[order[p].second];
     for (size_t i = 0; i < l.ids.size(); ++i) {

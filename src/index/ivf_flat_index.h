@@ -47,8 +47,9 @@ class IvfFlatIndex : public VectorIndex {
 
   Status Add(int id, const float* vec) override;
   Status Remove(int id) override;
-  StatusOr<std::vector<Neighbor>> Search(const float* query, size_t k,
-                                         int exclude_id = -1) const override;
+  StatusOr<std::vector<Neighbor>> Search(
+      const float* query, size_t k, int exclude_id = -1,
+      float floor = -std::numeric_limits<float>::infinity()) const override;
 
   size_t size() const override { return assignment_.size(); }
   size_t dim() const override { return dim_; }

@@ -2,6 +2,7 @@
 #define SCCF_INDEX_VECTOR_INDEX_H_
 
 #include <cstddef>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -56,9 +57,6 @@ struct IndexMemoryStats {
 ///    `core::RealTimeService` wraps each shard's index in a
 ///    `std::shared_mutex` (shared for Search, exclusive for Add), which
 ///    is the intended usage pattern.
-///  - `BruteForceIndex` built with `parallel = true` fans `Search` out on
-///    the global `ThreadPool`; never call that from inside a pool worker
-///    (`ParallelFor` nesting is forbidden, see util/thread_pool.h).
 ///
 /// Buffered-upsert contract: because `Add` with an existing id replaces
 /// the stored vector, a caller may defer a burst of upserts in a side
@@ -96,10 +94,13 @@ class VectorIndex {
 
   /// Top-k ids by similarity to `query`, descending. `exclude_id` (if >= 0)
   /// is never returned — the paper excludes the user herself from N_u.
-  /// Returns fewer than k results when the index is smaller.
-  virtual StatusOr<std::vector<Neighbor>> Search(const float* query,
-                                                 size_t k,
-                                                 int exclude_id = -1) const = 0;
+  /// Returns fewer than k results when the index is smaller. Rows scoring
+  /// below `floor` are never returned either: a caller merging several
+  /// searches passes the k-th score it already holds, so a later search
+  /// skips rows that cannot enter the merged top-k.
+  virtual StatusOr<std::vector<Neighbor>> Search(
+      const float* query, size_t k, int exclude_id = -1,
+      float floor = -std::numeric_limits<float>::infinity()) const = 0;
 
   virtual size_t size() const = 0;
   virtual size_t dim() const = 0;
@@ -129,29 +130,68 @@ class VectorIndex {
   virtual Status DeserializeFrom(std::string_view in) = 0;
 };
 
-/// Bounded accumulator of the k highest-scoring candidates.
+/// The one order of every top-k result: descending score, ties broken by
+/// ascending id. Written without short-circuits so selection loops that
+/// run it on every candidate compile it without a data-dependent branch.
+inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
+  return (a.score > b.score) | ((a.score == b.score) & (a.id < b.id));
+}
+
+/// Exact top-k selection: the k best candidates by NeighborBefore among
+/// those offered, whatever order they arrive in. Every top-k in the repo
+/// goes through it: the brute-force scan, HNSW, IVF, the staged-buffer
+/// merge, the cross-shard fan-out and the Eq. 12 vote.
+///
+/// Candidates scoring at or above a running threshold are appended to a
+/// buffer; once it holds 2k of them it is cut back to the k best by a
+/// branchless quickselect and the threshold rises to the k-th score. A
+/// block offer compares each score with the threshold and appends without
+/// a data-dependent branch; a group of 16 scores all below it is skipped
+/// after the compares. Take finishes with one sort. The threshold admits
+/// scores equal to it, since a tie with a smaller id still beats the
+/// current k-th. NaN scores are never kept.
 class TopKAccumulator {
  public:
-  explicit TopKAccumulator(size_t k) : k_(k) { heap_.reserve(k + 1); }
+  /// Candidates scoring below `floor` are never kept.
+  explicit TopKAccumulator(
+      size_t k, float floor = -std::numeric_limits<float>::infinity());
 
-  /// Offers a candidate; kept only if it beats the current k-th best.
-  void Offer(int id, float score);
-
-  /// True if a candidate with `score` would be accepted right now.
-  bool WouldAccept(float score) const {
-    return heap_.size() < k_ || score > heap_.front().score;
+  void Offer(int id, float score) {
+    if (score >= threshold_) Push(id, score);
   }
 
-  /// Extracts results sorted by descending score (ties: ascending id).
-  /// The accumulator is emptied.
+  /// Offers (ids[j], scores[j]) for j in [0, n), skipping `exclude_id`.
+  void OfferBlock(const int* ids, const float* scores, size_t n,
+                  int exclude_id = -1);
+
+  /// Offers (first_id + j, scores[j]) for j in [0, n).
+  void OfferDense(int first_id, const float* scores, size_t n);
+
+  /// The lowest score that can still be kept: the k-th best score once k
+  /// candidates are held, otherwise the construction floor. A caller may
+  /// pass it on as the floor of another search feeding the same result.
+  float Floor();
+
+  /// The kept candidates in NeighborBefore order. Call once: the
+  /// accumulator is spent afterwards.
   std::vector<Neighbor> Take();
 
-  size_t size() const { return heap_.size(); }
-
  private:
-  size_t k_ = 0;
-  // Min-heap on score so the root is the current worst kept candidate.
-  std::vector<Neighbor> heap_;
+  void Push(int id, float score);
+  /// Ensures room for `len` more appends, cutting back to the k best first
+  /// once 2k are held.
+  void MakeRoom(size_t len);
+  /// Keeps the k best of the n_ held (n_ >= k) and raises the threshold to
+  /// the k-th score.
+  void Compact();
+  template <typename IdAt>
+  void AppendAtOrAbove(IdAt id_at, const float* scores, size_t n,
+                       int exclude_id);
+
+  size_t k_;
+  float threshold_;
+  size_t n_ = 0;               // candidates held in buf_[0, n_)
+  std::vector<Neighbor> buf_;  // buf_[n_, size) is write space
 };
 
 /// Insertion-ordered staging area for deferred index upserts — the write

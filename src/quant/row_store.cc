@@ -139,16 +139,6 @@ void RowStore::ScoreBatch(const Query& q, size_t lo, size_t count,
   simd::DotBatch(q.data(), data_.data() + lo * dim_, count, dim_, out);
 }
 
-void RowStore::TopK(const Query& q, size_t k, ptrdiff_t exclude_slot,
-                    std::vector<std::pair<int, float>>* out) const {
-  if (sq8()) {
-    simd::TopKDotI8(q.data(), codes_.data(), size_, dim_, scales_.data(),
-                    offsets_.data(), q.sum, k, exclude_slot, out);
-  } else {
-    simd::TopKDot(q.data(), data_.data(), size_, dim_, k, exclude_slot, out);
-  }
-}
-
 void RowStore::SerializeRow(size_t slot, std::string* out) const {
   if (sq8()) {
     out->append(reinterpret_cast<const char*>(codes_.data() + slot * dim_),

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "quant/sq8.h"
@@ -30,7 +29,7 @@ namespace sccf::quant {
 /// rebuilds, swap-removes and snapshot restores are bit-exact.
 class RowStore {
  public:
-  /// A query ready for Score / ScoreBatch / TopK: the fp32 vector in the
+  /// A query ready for Score / ScoreBatch: the fp32 vector in the
   /// store's space plus its element sum (read only by sq8 scoring).
   struct Query {
     std::vector<float> vec;
@@ -74,10 +73,6 @@ class RowStore {
   /// out[j] = similarity of `q` to row lo + j for j in [0, count), through
   /// the batched kernel.
   void ScoreBatch(const Query& q, size_t lo, size_t count, float* out) const;
-  /// Top-k (slot, score) over all rows, skipping `exclude_slot` if >= 0.
-  /// Selection and tie semantics are simd::TopKDot's.
-  void TopK(const Query& q, size_t k, ptrdiff_t exclude_slot,
-            std::vector<std::pair<int, float>>* out) const;
 
   /// Bytes of fp32 rows held (0 in sq8 mode).
   size_t fp32_bytes() const { return data_.size() * sizeof(float); }

@@ -25,7 +25,7 @@
 ///  - Memory: dim + 8 bytes per row vs 4 * dim fp32 (3.76x at dim 128).
 ///
 /// Scoring against codes never materializes decoded floats; see the
-/// DotI8/CosineI8/TopKDotI8 kernels in simd/kernels.h. Index backends hold
+/// DotI8/CosineI8/DotBatchI8 kernels in simd/kernels.h. Index backends hold
 /// rows through quant::RowStore (row_store.h), which applies this codec.
 namespace sccf::quant {
 

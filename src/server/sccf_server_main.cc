@@ -45,12 +45,16 @@
 // bad flag value, 1 when the corpus bootstrap, --data_dir recovery or
 // the listener fails. Every nonzero exit prints its reason on stderr.
 
+#include <malloc.h>
+
 #include <csignal>
 
 #include <atomic>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -210,9 +214,11 @@ int main(int argc, char** argv) {
   syn.max_actions = 30;
   syn.seed = cfg.seed;
   data::SyntheticGenerator gen(syn);
-  auto dataset = gen.Generate();
-  if (!dataset.ok()) return StartupFailure("generate", dataset.status());
-  data::LeaveOneOutSplit split(*dataset);
+  auto generated = gen.Generate();
+  if (!generated.ok()) return StartupFailure("generate", generated.status());
+  // Both are read only to fit and bootstrap, and are freed once serving.
+  std::optional<data::Dataset> dataset(std::move(generated).value());
+  std::optional<data::LeaveOneOutSplit> split(std::in_place, *dataset);
 
   // Untrained FISM: real inference path, deterministic weights. A
   // trained checkpoint slots in here once persistence lands.
@@ -220,7 +226,7 @@ int main(int argc, char** argv) {
   fopts.dim = cfg.dim;
   fopts.epochs = 0;
   models::Fism fism(fopts);
-  const Status fit = fism.Fit(split);
+  const Status fit = fism.Fit(*split);
   if (!fit.ok()) return StartupFailure("fit", fit);
 
   online::Engine::Options eopts;
@@ -236,7 +242,7 @@ int main(int argc, char** argv) {
   // only has to restore what ingest changed since: Bootstrap rebuilds
   // the corpus state, then (with --data_dir) loads the snapshot and
   // replays the journal tail on top.
-  const Status booted = engine.BootstrapFromSplit(split);
+  const Status booted = engine.BootstrapFromSplit(*split);
   if (!booted.ok()) return StartupFailure("bootstrap", booted);
 
   server::Server srv(engine, cfg.server);
@@ -248,11 +254,20 @@ int main(int argc, char** argv) {
   if (g_signal_pending.load(std::memory_order_acquire)) srv.Shutdown();
 
   // Generation may compact ids; clients need the live corpus bounds.
-  std::printf("corpus users=%zu items=%zu\n", split.num_users(),
+  std::printf("corpus users=%zu items=%zu\n", split->num_users(),
               dataset->num_items());
   std::printf("listening on %s:%u\n", cfg.server.bind_address.c_str(),
               static_cast<unsigned>(srv.port()));
   std::fflush(stdout);
+
+  // Free the corpus, then return the pages bootstrap left free (the
+  // corpus, the shard builds' scratch on pool threads) to the OS. Serving
+  // allocates from the reactor thread's malloc arena, which does not
+  // reuse them, so they would otherwise stay resident beside every
+  // history ingest grows. Done after the listening line, off startup.
+  split.reset();
+  dataset.reset();
+  malloc_trim(0);
 
   srv.Wait();
   const server::Server::Stats stats = srv.stats();

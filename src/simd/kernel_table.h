@@ -11,7 +11,7 @@ namespace sccf::simd::internal {
 /// ForceVariant override) and every public kernel routes through it.
 ///
 /// Only the primitives that differ per ISA live here; derived kernels
-/// (Cosine, Norm, NormalizeCopy/InPlace, TopKDot) are built on top of
+/// (Cosine, Norm, NormalizeCopy/InPlace, CosineI8) are built on top of
 /// these in kernels.cc so policy — e.g. the zero-norm guard — has exactly
 /// one definition regardless of variant.
 struct KernelTable {

@@ -263,66 +263,6 @@ void DotBatch(const float* q, const float* base, size_t count, size_t dim,
   ActiveTable().dot_batch(q, base, count, dim, out);
 }
 
-namespace {
-
-// Mirror of index::TopKAccumulator's heap (min-heap on score; among equal
-// scores the larger id is evicted first). Duplicated here because the simd
-// layer sits below index/ in the DAG; the parity test pins the two
-// behaviors together.
-struct RowScore {
-  int row;
-  float score;
-};
-
-struct MinHeapCmp {
-  bool operator()(const RowScore& a, const RowScore& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.row < b.row;
-  }
-};
-
-}  // namespace
-
-void TopKDot(const float* q, const float* base, size_t count, size_t dim,
-             size_t k, ptrdiff_t exclude_row,
-             std::vector<std::pair<int, float>>* out) {
-  out->clear();
-  if (k == 0 || count == 0) return;
-
-  constexpr size_t kBlock = 256;
-  float scores[kBlock];
-  std::vector<RowScore> heap;
-  heap.reserve(k + 1);
-
-  const KernelTable& table = ActiveTable();
-  for (size_t lo = 0; lo < count; lo += kBlock) {
-    const size_t len = std::min(kBlock, count - lo);
-    table.dot_batch(q, base + lo * dim, len, dim, scores);
-    for (size_t j = 0; j < len; ++j) {
-      const size_t row = lo + j;
-      if (static_cast<ptrdiff_t>(row) == exclude_row) continue;
-      const float s = scores[j];
-      if (heap.size() < k) {
-        heap.push_back({static_cast<int>(row), s});
-        std::push_heap(heap.begin(), heap.end(), MinHeapCmp());
-        continue;
-      }
-      if (s <= heap.front().score) continue;
-      std::pop_heap(heap.begin(), heap.end(), MinHeapCmp());
-      heap.back() = {static_cast<int>(row), s};
-      std::push_heap(heap.begin(), heap.end(), MinHeapCmp());
-    }
-  }
-
-  std::sort(heap.begin(), heap.end(), [](const RowScore& a,
-                                         const RowScore& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.row < b.row;
-  });
-  out->reserve(heap.size());
-  for (const RowScore& rs : heap) out->emplace_back(rs.row, rs.score);
-}
-
 void ScatterAddConstant(float* dst, const int* idx, size_t n, float v) {
   ActiveTable().scatter_add_constant(dst, idx, n, v);
 }
@@ -357,47 +297,6 @@ float CosineI8(const float* q, const int8_t* c, size_t n, float scale,
   if (nr == 0.0f) return 0.0f;
   const float dot = scale * ActiveTable().dot_i8(q, c, n) + offset * qsum;
   return dot / (nq * nr);
-}
-
-void TopKDotI8(const float* q, const int8_t* base, size_t count, size_t dim,
-               const float* scales, const float* offsets, float qsum,
-               size_t k, ptrdiff_t exclude_row,
-               std::vector<std::pair<int, float>>* out) {
-  out->clear();
-  if (k == 0 || count == 0) return;
-
-  constexpr size_t kBlock = 256;
-  float raw[kBlock];
-  std::vector<RowScore> heap;
-  heap.reserve(k + 1);
-
-  const KernelTable& table = ActiveTable();
-  for (size_t lo = 0; lo < count; lo += kBlock) {
-    const size_t len = std::min(kBlock, count - lo);
-    table.dot_batch_i8(q, base + lo * dim, len, dim, raw);
-    for (size_t j = 0; j < len; ++j) {
-      const size_t row = lo + j;
-      if (static_cast<ptrdiff_t>(row) == exclude_row) continue;
-      const float s = scales[row] * raw[j] + offsets[row] * qsum;
-      if (heap.size() < k) {
-        heap.push_back({static_cast<int>(row), s});
-        std::push_heap(heap.begin(), heap.end(), MinHeapCmp());
-        continue;
-      }
-      if (s <= heap.front().score) continue;
-      std::pop_heap(heap.begin(), heap.end(), MinHeapCmp());
-      heap.back() = {static_cast<int>(row), s};
-      std::push_heap(heap.begin(), heap.end(), MinHeapCmp());
-    }
-  }
-
-  std::sort(heap.begin(), heap.end(), [](const RowScore& a,
-                                         const RowScore& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.row < b.row;
-  });
-  out->reserve(heap.size());
-  for (const RowScore& rs : heap) out->emplace_back(rs.row, rs.score);
 }
 
 }  // namespace sccf::simd

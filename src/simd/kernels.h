@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "util/status.h"
 
@@ -73,16 +71,6 @@ void NormalizeInPlace(float* v, size_t n);
 void DotBatch(const float* q, const float* base, size_t count, size_t dim,
               float* out);
 
-/// Top-k rows of `base` by inner product with `q`, blocked through
-/// DotBatch. Results are (row, score) sorted by descending score, ties by
-/// ascending row. Selection semantics replicate index::TopKAccumulator
-/// offered in row order (strictly-greater replacement), so callers whose
-/// external ids equal row indices get bit-identical results to a scalar
-/// offer loop. `exclude_row` (if >= 0) is skipped.
-void TopKDot(const float* q, const float* base, size_t count, size_t dim,
-             size_t k, ptrdiff_t exclude_row,
-             std::vector<std::pair<int, float>>* out);
-
 /// dst[idx[i]] += v for i in [0, n). Pre: idx values are unique within a
 /// call and in-bounds. Used for neighborhood vote accumulation (Eq. 12),
 /// where each neighbor's item list is de-duplicated.
@@ -111,16 +99,6 @@ void DotBatchI8(const float* q, const int8_t* base, size_t count,
 /// identical across variants up to FP reassociation of the raw dot.
 float CosineI8(const float* q, const int8_t* c, size_t n, float scale,
                float offset, float qsum);
-
-/// Top-k rows of an int8 code matrix by decoded inner product with q:
-/// score(r) = scales[r] * DotI8(q, row_r) + offsets[r] * qsum. Selection
-/// and tie semantics are identical to TopKDot (strictly-greater
-/// replacement, descending score then ascending row). `exclude_row`
-/// (if >= 0) is skipped.
-void TopKDotI8(const float* q, const int8_t* base, size_t count, size_t dim,
-               const float* scales, const float* offsets, float qsum,
-               size_t k, ptrdiff_t exclude_row,
-               std::vector<std::pair<int, float>>* out);
 
 }  // namespace sccf::simd
 

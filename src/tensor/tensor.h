@@ -101,7 +101,7 @@ void Gemv(const Tensor& a, const float* x, float* y);
 /// Dot product of two length-n float arrays. Forwards to the
 /// runtime-dispatched SIMD kernels layer (simd/kernels.h), as do Axpy,
 /// Norm, and Cosine below; batch-oriented callers should use
-/// simd::DotBatch / simd::TopKDot directly.
+/// simd::DotBatch directly.
 float Dot(const float* a, const float* b, size_t n);
 
 /// y += alpha * x for length-n arrays.

@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "index/brute_force_index.h"
 #include "index/hnsw_index.h"
 #include "index/ivf_flat_index.h"
 #include "index/vector_index.h"
+#include "quant/row_store.h"
+#include "simd/kernels.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
 
@@ -20,11 +27,18 @@ std::vector<float> RandomCorpus(size_t n, size_t d, Rng& rng) {
   return data;
 }
 
+// Reference top-k: every candidate sorted by NeighborBefore, truncated.
+std::vector<Neighbor> SortedTopK(std::vector<Neighbor> all, size_t k) {
+  std::sort(all.begin(), all.end(), NeighborBefore);
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
 // Exact reference search by linear scan.
 std::vector<Neighbor> ExactSearch(const std::vector<float>& corpus, size_t n,
                                   size_t d, const float* q, size_t k,
                                   Metric metric, int exclude = -1) {
-  TopKAccumulator acc(k);
+  std::vector<Neighbor> all;
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == exclude) continue;
     float score;
@@ -33,9 +47,9 @@ std::vector<Neighbor> ExactSearch(const std::vector<float>& corpus, size_t n,
     } else {
       score = tensor_ops::Dot(q, corpus.data() + i * d, d);
     }
-    acc.Offer(static_cast<int>(i), score);
+    all.push_back({static_cast<int>(i), score});
   }
-  return acc.Take();
+  return SortedTopK(std::move(all), k);
 }
 
 double RecallAtK(const std::vector<Neighbor>& got,
@@ -86,13 +100,118 @@ TEST(TopKAccumulatorTest, TiesBrokenByAscendingId) {
   EXPECT_EQ(out[1].id, 5);
 }
 
-TEST(TopKAccumulatorTest, WouldAcceptReflectsThreshold) {
-  TopKAccumulator acc(2);
-  EXPECT_TRUE(acc.WouldAccept(-100.0f));
+TEST(TopKAccumulatorTest, FloorIsTheKthScoreOnceKAreHeld) {
+  TopKAccumulator acc(2, /*floor=*/-5.0f);
+  EXPECT_EQ(acc.Floor(), -5.0f);
   acc.Offer(0, 1.0f);
+  EXPECT_EQ(acc.Floor(), -5.0f);
   acc.Offer(1, 2.0f);
-  EXPECT_FALSE(acc.WouldAccept(0.5f));
-  EXPECT_TRUE(acc.WouldAccept(1.5f));
+  acc.Offer(2, 0.5f);
+  EXPECT_EQ(acc.Floor(), 1.0f);
+  acc.Offer(3, 1.0f);  // ties the k-th score with a larger id: not kept
+  acc.Offer(4, -7.0f);
+  const auto out = acc.Take();
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 1);
+  EXPECT_EQ(out[1].id, 0);
+}
+
+// Bit pattern of a score, so +0 and -0 are told apart.
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+void ExpectSameNeighbors(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+    EXPECT_EQ(Bits(got[i].score), Bits(want[i].score))
+        << what << " rank " << i;
+  }
+}
+
+// The selector against sort-and-truncate on the same key. Ids 0..n-1 are
+// cut into runs that arrive in shuffled order; each run is offered as a
+// dense block, as a block of shuffled ids, or one candidate at a time,
+// with Floor() (which compacts) called at random points in between.
+TEST(TopKAccumulatorTest, MatchesSortAndTruncateOnEveryArrivalOrder) {
+  Rng rng(2024);
+  const float kTies[4] = {-1.0f, 0.0f, 0.5f, 1.0f};
+  const float kZeros[4] = {0.0f, -0.0f, 1.0f, -1.0f};
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t sizes[] = {0, 1, 2, 7, 100, 255, 256, 257, 1000, 3000};
+    const size_t n = sizes[rng.UniformInt(0, 9)];
+    const int mode = static_cast<int>(rng.UniformInt(0, 2));
+    std::vector<float> scores(n);
+    for (float& v : scores) {
+      if (mode == 0) v = rng.Normal();
+      if (mode == 1) v = kTies[rng.UniformInt(0, 3)];
+      if (mode == 2) v = kZeros[rng.UniformInt(0, 3)];
+    }
+    const size_t ks[] = {1, n / 2 + 1, n, n + 3,
+                         static_cast<size_t>(rng.UniformInt(1, 300))};
+    const size_t k = ks[rng.UniformInt(0, 4)];
+    const float floor = rng.UniformInt(0, 1) == 0
+                            ? -std::numeric_limits<float>::infinity()
+                            : (mode == 0 ? rng.Normal() : kTies[1 + trial % 3]);
+    const int exclude =
+        n > 0 && rng.UniformInt(0, 1) == 0
+            ? static_cast<int>(rng.UniformInt(0, static_cast<int64_t>(n) - 1))
+            : -1;
+
+    std::vector<Neighbor> all;
+    for (size_t i = 0; i < n; ++i) {
+      if (static_cast<int>(i) != exclude && scores[i] >= floor) {
+        all.push_back({static_cast<int>(i), scores[i]});
+      }
+    }
+    const std::vector<Neighbor> want = SortedTopK(all, k);
+
+    std::vector<std::pair<size_t, size_t>> runs;  // [lo, hi)
+    for (size_t lo = 0; lo < n;) {
+      const size_t len = std::min<size_t>(n - lo, rng.UniformInt(1, 600));
+      runs.emplace_back(lo, lo + len);
+      lo += len;
+    }
+    rng.Shuffle(runs);
+    TopKAccumulator acc(k, floor);
+    for (const auto& [lo, hi] : runs) {
+      const int how = static_cast<int>(rng.UniformInt(0, 2));
+      const bool has_exclude =
+          exclude >= static_cast<int>(lo) && exclude < static_cast<int>(hi);
+      if (how == 0 && !has_exclude) {
+        acc.OfferDense(static_cast<int>(lo), scores.data() + lo, hi - lo);
+      } else if (how == 1) {
+        std::vector<int> ids(hi - lo);
+        for (size_t i = 0; i < ids.size(); ++i) {
+          ids[i] = static_cast<int>(lo + i);
+        }
+        rng.Shuffle(ids);
+        std::vector<float> run_scores(ids.size());
+        for (size_t i = 0; i < ids.size(); ++i) {
+          run_scores[i] = scores[ids[i]];
+        }
+        acc.OfferBlock(ids.data(), run_scores.data(), ids.size(), exclude);
+      } else {
+        for (size_t i = lo; i < hi; ++i) {
+          if (static_cast<int>(i) != exclude) {
+            acc.Offer(static_cast<int>(i), scores[i]);
+          }
+        }
+      }
+      if (rng.UniformInt(0, 3) == 0) acc.Floor();
+    }
+    const std::string what = "trial " + std::to_string(trial) + " n " +
+                             std::to_string(n) + " k " + std::to_string(k);
+    EXPECT_EQ(acc.Floor(),
+              k > 0 && want.size() == k ? want.back().score : floor)
+        << what;
+    ExpectSameNeighbors(acc.Take(), want, what);
+  }
 }
 
 // ------------------------------------------------------ BruteForceIndex
@@ -180,26 +299,71 @@ TEST(BruteForceIndexTest, CosineIgnoresMagnitude) {
   EXPECT_NEAR((*r)[1].score, 1.0f, 1e-3);
 }
 
-TEST(BruteForceIndexTest, ParallelSearchMatchesSerial) {
-  const size_t n = 6000, d = 8;
-  Rng rng(7);
-  auto corpus = RandomCorpus(n, d, rng);
-  BruteForceIndex serial(d, Metric::kInnerProduct, /*parallel=*/false);
-  BruteForceIndex parallel(d, Metric::kInnerProduct, /*parallel=*/true);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(serial.Add(i, corpus.data() + i * d).ok());
-    ASSERT_TRUE(parallel.Add(i, corpus.data() + i * d).ok());
+// BruteForceIndex::Search against sort-and-truncate over the scores the
+// batched kernel gives each row, in both storage modes, with ids equal to
+// slots and not, under every SIMD variant the CPU supports. Duplicated rows
+// force exact ties across block boundaries.
+TEST(BruteForceIndexTest, SearchMatchesSortAndTruncateOnEveryVariant) {
+  const size_t n = 700, d = 16;
+  Rng rng(31);
+  std::vector<float> corpus = RandomCorpus(n, d, rng);
+  for (size_t dup : {1u, 255u, 256u, 511u, 699u}) {
+    std::copy_n(corpus.begin() + 3 * d, d, corpus.begin() + dup * d);
   }
-  std::vector<float> q(d);
-  for (auto& v : q) v = rng.Normal();
-  auto rs = serial.Search(q.data(), 25);
-  auto rp = parallel.Search(q.data(), 25);
-  ASSERT_TRUE(rs.ok());
-  ASSERT_TRUE(rp.ok());
-  ASSERT_EQ(rs->size(), rp->size());
-  for (size_t i = 0; i < rs->size(); ++i) {
-    EXPECT_EQ((*rs)[i].id, (*rp)[i].id);
+  std::vector<simd::Variant> variants;
+  for (simd::Variant v : {simd::Variant::kScalar, simd::Variant::kAvx2,
+                          simd::Variant::kAvx512}) {
+    if (simd::VariantSupported(v)) variants.push_back(v);
   }
+  for (simd::Variant v : variants) {
+    ASSERT_TRUE(simd::ForceVariant(v).ok());
+    for (quant::Storage storage :
+         {quant::Storage::kFp32, quant::Storage::kSq8}) {
+      for (bool slot_ids : {true, false}) {
+        std::vector<int> ids(n);
+        for (size_t i = 0; i < n; ++i) {
+          ids[i] = slot_ids ? static_cast<int>(i) : static_cast<int>(3 * i + 7);
+        }
+        if (!slot_ids) rng.Shuffle(ids);
+        BruteForceIndex idx(d, Metric::kCosine, storage);
+        quant::RowStore rows(d, storage, /*normalize=*/true);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(idx.Add(ids[i], corpus.data() + i * d).ok());
+          rows.Append(corpus.data() + i * d);
+        }
+        const std::vector<float> q = RandomCorpus(1, d, rng);
+        const quant::RowStore::Query pq = rows.PrepareQuery(q.data());
+        std::vector<float> scores(n);
+        for (size_t lo = 0; lo < n; lo += 256) {
+          rows.ScoreBatch(pq, lo, std::min<size_t>(256, n - lo),
+                          scores.data() + lo);
+        }
+        for (size_t k : {1u, 10u, 100u, 700u, 800u}) {
+          for (int exclude : {-1, ids[3], ids[600]}) {
+            for (float floor : {-std::numeric_limits<float>::infinity(),
+                                scores[256]}) {
+              std::vector<Neighbor> all;
+              for (size_t i = 0; i < n; ++i) {
+                if (ids[i] != exclude && scores[i] >= floor) {
+                  all.push_back({ids[i], scores[i]});
+                }
+              }
+              auto got = idx.Search(q.data(), k, exclude, floor);
+              ASSERT_TRUE(got.ok());
+              ExpectSameNeighbors(
+                  *got, SortedTopK(all, k),
+                  std::string(simd::VariantName(v)) + " " +
+                      quant::StorageName(storage) +
+                      (slot_ids ? " slot ids" : " other ids") + " k " +
+                      std::to_string(k) + " exclude " +
+                      std::to_string(exclude));
+            }
+          }
+        }
+      }
+    }
+  }
+  simd::ResetVariantFromEnv();
 }
 
 // --------------------------------------------------------- IvfFlatIndex
@@ -466,8 +630,7 @@ TEST(Sq8IndexTest, BruteForceSq8TracksFp32Reference) {
   const size_t n = 200, d = 32;
   Rng rng(41);
   auto corpus = RandomCorpus(n, d, rng);
-  BruteForceIndex idx(d, Metric::kCosine, /*parallel=*/false,
-                      quant::Storage::kSq8);
+  BruteForceIndex idx(d, Metric::kCosine, quant::Storage::kSq8);
   EXPECT_EQ(idx.storage(), quant::Storage::kSq8);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(idx.Add(static_cast<int>(i), corpus.data() + i * d).ok());
@@ -497,8 +660,7 @@ TEST(Sq8IndexTest, BruteForceRemoveIsATrueDelete) {
     const size_t n = 50, d = 8;
     Rng rng(17);
     auto corpus = RandomCorpus(n, d, rng);
-    BruteForceIndex idx(d, Metric::kInnerProduct, /*parallel=*/false,
-                        storage);
+    BruteForceIndex idx(d, Metric::kInnerProduct, storage);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(idx.Add(static_cast<int>(i), corpus.data() + i * d).ok());
     }
@@ -673,8 +835,8 @@ TEST(Sq8IndexTest, SerializeRoundTripIsBitExact) {
   };
 
   {
-    BruteForceIndex src(d, Metric::kCosine, false, quant::Storage::kSq8);
-    BruteForceIndex dst(d, Metric::kCosine, false, quant::Storage::kSq8);
+    BruteForceIndex src(d, Metric::kCosine, quant::Storage::kSq8);
+    BruteForceIndex dst(d, Metric::kCosine, quant::Storage::kSq8);
     for (size_t i = 0; i < n; ++i) {
       ASSERT_TRUE(src.Add(static_cast<int>(i), corpus.data() + i * d).ok());
     }
@@ -704,7 +866,7 @@ TEST(Sq8IndexTest, SerializeRoundTripIsBitExact) {
 
 TEST(Sq8IndexTest, DeserializeRejectsStorageModeMismatch) {
   const size_t d = 8;
-  BruteForceIndex sq8(d, Metric::kCosine, false, quant::Storage::kSq8);
+  BruteForceIndex sq8(d, Metric::kCosine, quant::Storage::kSq8);
   const float v[d] = {1, 2, 3, 4, 5, 6, 7, 8};
   ASSERT_TRUE(sq8.Add(0, v).ok());
   std::string blob;
@@ -722,7 +884,7 @@ TEST(Sq8IndexTest, MemoryStatsReportAtLeast3xReduction) {
   Rng rng(61);
   auto corpus = RandomCorpus(n, d, rng);
   BruteForceIndex fp32(d, Metric::kCosine);
-  BruteForceIndex sq8(d, Metric::kCosine, false, quant::Storage::kSq8);
+  BruteForceIndex sq8(d, Metric::kCosine, quant::Storage::kSq8);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(fp32.Add(static_cast<int>(i), corpus.data() + i * d).ok());
     ASSERT_TRUE(sq8.Add(static_cast<int>(i), corpus.data() + i * d).ok());
@@ -743,7 +905,7 @@ TEST(Sq8IndexTest, UpsertBufferSq8StagedScoresMatchDrainedIndex) {
   const size_t d = 16;
   Rng rng(67);
   UpsertBuffer buf(d, Metric::kCosine, quant::Storage::kSq8);
-  BruteForceIndex idx(d, Metric::kCosine, false, quant::Storage::kSq8);
+  BruteForceIndex idx(d, Metric::kCosine, quant::Storage::kSq8);
   std::vector<float> corpus = RandomCorpus(6, d, rng);
   std::fill(corpus.begin() + 5 * d, corpus.end(), 0.0f);  // zero row
   for (int i = 0; i < 6; ++i) {

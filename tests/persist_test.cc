@@ -598,8 +598,7 @@ std::string PinnedIndexBlob(char backend, quant::Storage storage,
   std::unique_ptr<index::VectorIndex> idx;
   switch (backend) {
     case 'B': {
-      idx = std::make_unique<index::BruteForceIndex>(kDim, metric, false,
-                                                     storage);
+      idx = std::make_unique<index::BruteForceIndex>(kDim, metric, storage);
       for (int i = 0; i < 40; ++i) {
         SCCF_CHECK(idx->Add(i, MakeVec(kDim, i).data()).ok());
       }

@@ -238,19 +238,6 @@ TEST_P(RowStoreTest, ScoresAgreeAcrossKernelsAndWithDecodedRows) {
     EXPECT_NEAR(batch[i], simd::Dot(q.data(), decoded.data(), dim), 1e-4f);
   }
 
-  // TopK runs the batched kernel: its scores are ScoreBatch's exactly.
-  std::vector<std::pair<int, float>> top;
-  store.TopK(q, 5, /*exclude_slot=*/3, &top);
-  ASSERT_EQ(top.size(), 5u);
-  std::vector<float> sorted = batch;
-  sorted.erase(sorted.begin() + 3);
-  std::sort(sorted.rbegin(), sorted.rend());
-  for (size_t r = 0; r < top.size(); ++r) {
-    EXPECT_NE(top[r].first, 3);
-    EXPECT_EQ(top[r].second, batch[top[r].first]);
-    EXPECT_EQ(top[r].second, sorted[r]);
-  }
-
   // A stored row as the query side is the decoded row, not re-normalised.
   const RowStore::Query row_q = store.RowQuery(7);
   store.DecodeRow(7, decoded.data());

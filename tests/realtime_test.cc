@@ -207,6 +207,37 @@ TEST_F(RealTimeTest, ShardedMatchesSingleShardExactly) {
   for (int user : {0, 1, 5, 70, 3000}) expect_equal_views(user);
 }
 
+// A tie at the k-th score resolves to the smaller id whatever order the
+// candidates arrive in, so a staged upsert and a written-through one give
+// the same neighborhood. Users 2, 7 and 9 end with the same one-item
+// window {5}, so 2 and 7 tie exactly as 9's nearest neighbor; with
+// compaction_threshold 16 user 2 is staged and offered after 7.
+TEST_F(RealTimeTest, KthScoreTieIsTheSameStagedOrWrittenThrough) {
+  std::vector<RealTimeService::UserState> users(20);
+  for (int u = 0; u < 20; ++u) {
+    users[u].user = u;
+    users[u].history = {10 + u};
+  }
+  users[7].history = {5};
+  users[9].history = {5};
+  users[2].history = {6};
+  for (size_t threshold : {1u, 16u}) {
+    RealTimeService::Options opts;
+    opts.infer_window = 1;
+    opts.vote_window = 1;
+    opts.num_shards = 1;
+    opts.beta = 1;
+    opts.compaction_threshold = threshold;
+    RealTimeService svc(*fism_, opts);
+    ASSERT_TRUE(svc.Bootstrap(users).ok());
+    ASSERT_TRUE(svc.OnInteraction(2, 5).ok());
+    auto nbrs = svc.Neighbors(9, 1);
+    ASSERT_TRUE(nbrs.ok());
+    ASSERT_EQ(nbrs->size(), 1u);
+    EXPECT_EQ((*nbrs)[0].id, 2) << "compaction_threshold " << threshold;
+  }
+}
+
 TEST_F(RealTimeTest, UnknownUserNeighborsIsNotFound) {
   RealTimeService svc(*fism_, {});
   ASSERT_TRUE(svc.BootstrapFromSplit(*split_).ok());

@@ -114,50 +114,6 @@ TEST_F(SimdKernelsTest, DotBatchMatchesPerRowDot) {
   }
 }
 
-TEST_F(SimdKernelsTest, TopKDotMatchesOfferLoopAndHandlesTies) {
-  Rng rng(11);
-  const size_t count = 300, dim = 24, k = 10;
-  std::vector<float> base = RandomVector(rng, count * dim);
-  // Force exact score ties: rows 50 and 51 identical, rows 100/101/102
-  // identical.
-  std::copy_n(base.begin() + 50 * dim, dim, base.begin() + 51 * dim);
-  std::copy_n(base.begin() + 100 * dim, dim, base.begin() + 101 * dim);
-  std::copy_n(base.begin() + 100 * dim, dim, base.begin() + 102 * dim);
-  const std::vector<float> q = RandomVector(rng, dim);
-
-  for (Variant v : SupportedVariants()) {
-    ASSERT_TRUE(ForceVariant(v).ok());
-    for (ptrdiff_t exclude : {-1, 50, 299}) {
-      // Reference: the same variant's scores through a plain offer loop
-      // with TopKAccumulator-identical semantics.
-      std::vector<float> scores(count);
-      DotBatch(q.data(), base.data(), count, dim, scores.data());
-      std::vector<std::pair<int, float>> want;
-      for (size_t r = 0; r < count; ++r) {
-        if (static_cast<ptrdiff_t>(r) == exclude) continue;
-        want.emplace_back(static_cast<int>(r), scores[r]);
-      }
-      std::stable_sort(want.begin(), want.end(),
-                       [](const auto& a, const auto& b) {
-                         if (a.second != b.second) return a.second > b.second;
-                         return a.first < b.first;
-                       });
-      want.resize(std::min(want.size(), k));
-
-      std::vector<std::pair<int, float>> got;
-      TopKDot(q.data(), base.data(), count, dim, k, exclude, &got);
-      ASSERT_EQ(got.size(), want.size())
-          << VariantName(v) << " exclude=" << exclude;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].first, want[i].first)
-            << VariantName(v) << " exclude=" << exclude << " rank=" << i;
-        EXPECT_EQ(got[i].second, want[i].second)
-            << VariantName(v) << " exclude=" << exclude << " rank=" << i;
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelsTest, ScatterAddConstantMatchesScalarLoop) {
   Rng rng(13);
   const size_t size = 500;
@@ -340,59 +296,6 @@ TEST_F(SimdKernelsTest, CosineI8ZeroNormAndZeroScaleRows) {
         qsum * 0.7f /
         (Norm(q.data(), n) * 0.7f * std::sqrt(static_cast<float>(n)));
     EXPECT_NEAR(got, want, 1e-5f) << VariantName(v);
-  }
-}
-
-TEST_F(SimdKernelsTest, TopKDotI8MatchesOfferLoopAndHandlesTies) {
-  Rng rng(4051);
-  const size_t count = 300, dim = 24, k = 10;
-  std::vector<int8_t> base = RandomCodes(rng, count * dim);
-  std::vector<float> scales(count), offsets(count);
-  for (size_t r = 0; r < count; ++r) {
-    scales[r] = 0.001f + 0.01f * rng.UniformFloat();
-    offsets[r] = 0.5f * rng.UniformFloat() - 0.25f;
-  }
-  // Force exact score ties: identical codes AND params.
-  std::copy_n(base.begin() + 50 * dim, dim, base.begin() + 51 * dim);
-  scales[51] = scales[50];
-  offsets[51] = offsets[50];
-  std::copy_n(base.begin() + 100 * dim, dim, base.begin() + 101 * dim);
-  scales[101] = scales[100];
-  offsets[101] = offsets[100];
-  const std::vector<float> q = RandomVector(rng, dim);
-  float qsum = 0.0f;
-  for (float x : q) qsum += x;
-
-  for (Variant v : SupportedVariants()) {
-    ASSERT_TRUE(ForceVariant(v).ok());
-    for (ptrdiff_t exclude : {-1, 50, 299}) {
-      std::vector<float> raw(count);
-      DotBatchI8(q.data(), base.data(), count, dim, raw.data());
-      std::vector<std::pair<int, float>> want;
-      for (size_t r = 0; r < count; ++r) {
-        if (static_cast<ptrdiff_t>(r) == exclude) continue;
-        want.emplace_back(static_cast<int>(r),
-                          scales[r] * raw[r] + offsets[r] * qsum);
-      }
-      std::stable_sort(want.begin(), want.end(),
-                       [](const auto& a, const auto& b) {
-                         if (a.second != b.second) return a.second > b.second;
-                         return a.first < b.first;
-                       });
-      want.resize(std::min(want.size(), k));
-
-      std::vector<std::pair<int, float>> got;
-      TopKDotI8(q.data(), base.data(), count, dim, scales.data(),
-                offsets.data(), qsum, k, exclude, &got);
-      ASSERT_EQ(got.size(), want.size())
-          << VariantName(v) << " exclude=" << exclude;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].first, want[i].first)
-            << VariantName(v) << " exclude=" << exclude << " rank=" << i;
-        EXPECT_EQ(got[i].second, want[i].second)
-            << VariantName(v) << " exclude=" << exclude << " rank=" << i;
-      }
-    }
   }
 }
 
