@@ -243,11 +243,14 @@ fi
 # runs explicitly alongside. So does index_test: the top-k selector
 # appends every scanned row into spare buffer space before deciding to
 # keep it, so an off-by-one there is a heap overflow only ASan sees.
+# engine_test and realtime_test drive the ingest path, which slices each
+# shard's events as a span out of one regrouped copy of the batch.
 # Skip gracefully where the toolchain has no -fsanitize=address.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
-  ASAN_TARGETS=(persist_test index_test recovery_test)
+  ASAN_TARGETS=(persist_test index_test engine_test realtime_test
+                recovery_test)
   # The server suites are crash-labeled too, but Linux-only (epoll) —
   # build them where the release daemon built: the syscall
   # fault-injection suite (EINTR storms, short writes, EMFILE, ENOSPC
@@ -259,6 +262,8 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null
   ./build/asan/tests/index_test >/dev/null
+  ./build/asan/tests/engine_test >/dev/null
+  ./build/asan/tests/realtime_test >/dev/null
   ctest --preset asan -L crash
   echo "asan recovery gate: OK"
 else

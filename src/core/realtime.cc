@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "util/coding.h"
@@ -54,79 +55,27 @@ RealTimeService::RealTimeService(const models::InductiveUiModel& model,
 
 RealTimeService::~RealTimeService() { StopBackgroundCompaction(); }
 
-void RealTimeService::InferWindowEmbedding(const std::vector<int>& history,
-                                           float* out) const {
-  const size_t take = options_.infer_window == 0
-                          ? history.size()
-                          : std::min(history.size(), options_.infer_window);
-  model_->InferUserEmbedding(
-      std::span<const int>(history.data() + history.size() - take, take),
-      out);
-}
-
-std::vector<int> RealTimeService::VoteItems(
-    const std::vector<int>& history) const {
-  const size_t take = options_.vote_window == 0
-                          ? history.size()
-                          : std::min(history.size(), options_.vote_window);
-  std::vector<int> votes(history.end() - take, history.end());
-  std::sort(votes.begin(), votes.end());
-  votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-  return votes;
-}
-
-std::unique_ptr<index::VectorIndex> RealTimeService::MakeShardIndex(
-    size_t shard_population) const {
-  const size_t d = model_->embedding_dim();
-  switch (options_.index_kind) {
-    case IndexKind::kBruteForce:
-      return std::make_unique<index::BruteForceIndex>(
-          d, options_.metric, options_.storage);
-    case IndexKind::kIvfFlat: {
-      index::IvfFlatIndex::Options ivf = options_.ivf;
-      ivf.nlist = std::min(ivf.nlist, std::max<size_t>(1, shard_population));
-      return std::make_unique<index::IvfFlatIndex>(d, options_.metric, ivf,
-                                                   options_.storage);
-    }
-    case IndexKind::kHnsw:
-      return std::make_unique<index::HnswIndex>(d, options_.metric,
-                                                options_.hnsw,
-                                                options_.storage);
-  }
-  return nullptr;  // unreachable
-}
-
 Status RealTimeService::BuildShard(
     Shard* shard, const std::vector<const UserState*>& users) const {
   const size_t d = model_->embedding_dim();
-  shard->index = MakeShardIndex(users.size());
-  shard->pending = std::make_unique<index::UpsertBuffer>(d, options_.metric,
-                                                         options_.storage);
-
+  std::vector<int> ids(users.size());
   std::vector<float> embeddings(users.size() * d, 0.0f);
   for (size_t i = 0; i < users.size(); ++i) {
     const UserState& s = *users[i];
+    ids[i] = s.user;
     if (!s.history.empty()) {
-      InferWindowEmbedding(s.history, embeddings.data() + i * d);
-      shard->vote_items[s.user] = VoteItems(s.history);
+      InferRecent(*model_, s.history, options_.infer_window,
+                  embeddings.data() + i * d);
+      shard->vote_items[s.user] = VoteList(s.history, options_.vote_window);
     }
     shard->histories[s.user] = s.history;
   }
-  if (options_.index_kind == IndexKind::kIvfFlat) {
-    auto* ivf = static_cast<index::IvfFlatIndex*>(shard->index.get());
-    if (users.empty()) {
-      // Train a one-centroid quantizer on the origin so cold-start users
-      // landing in this shard can still be added and searched.
-      std::vector<float> zero(d, 0.0f);
-      SCCF_RETURN_NOT_OK(ivf->Train(zero, 1));
-    } else {
-      SCCF_RETURN_NOT_OK(ivf->Train(embeddings, users.size()));
-    }
-  }
-  for (size_t i = 0; i < users.size(); ++i) {
-    SCCF_RETURN_NOT_OK(
-        shard->index->Add(users[i]->user, embeddings.data() + i * d));
-  }
+  SCCF_ASSIGN_OR_RETURN(
+      shard->index,
+      BuildIndex(options_.index_kind, options_.metric, options_.storage,
+                 options_.ivf, options_.hnsw, d, ids, embeddings));
+  shard->pending = std::make_unique<index::UpsertBuffer>(d, options_.metric,
+                                                         options_.storage);
   return Status::OK();
 }
 
@@ -269,99 +218,45 @@ StatusOr<RealTimeService::BatchResult> RealTimeService::OnInteractionBatch(
   result.timings.assign(events.size(), UpdateTiming{});
   if (events.empty()) return result;
 
-  const size_t d = model_->embedding_dim();
-
-  // Single-event fast path (what OnInteraction delegates to): skip the
-  // grouping scaffolding — per-event serving latency must not pay for
-  // O(num_shards) scratch it cannot use.
-  if (events.size() == 1) {
-    const Event& e = events[0];
-    std::vector<float> emb(d, 0.0f);
-    const size_t shard_idx = ShardIndex(e.user, shards_.size());
-    Shard& shard = *shards_[shard_idx];
-    {
-      std::unique_lock<std::shared_mutex> lock(shard.mu);
-      SCCF_RETURN_NOT_OK(JournalShardGroupLocked(shard_idx, shard, events));
-      auto [hist_it, created] = shard.histories.try_emplace(e.user);
-      hist_it->second.push_back(e.item);  // cold start: creates
-      result.cold_start_users = created ? 1 : 0;
-      SCCF_RETURN_NOT_OK(
-          RefreshTouchedUser(shard, e.user, emb.data(),
-                             &result.timings[0]));
-      result.pending_upserts = shard.pending->size();
-    }
-    result.users_touched = 1;
-    if (identify) {
-      Stopwatch identify_clock;
-      SCCF_ASSIGN_OR_RETURN(
-          std::vector<index::Neighbor> neighbors,
-          SearchAllShards(emb.data(), options_.beta, e.user));
-      (void)neighbors;
-      result.timings[0].identify_ms = identify_clock.ElapsedMillis();
-    }
-    return result;
-  }
-
-  // Group event positions by owning shard, preserving batch order (which
-  // is each user's chronological order by contract).
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  // One copy of the batch, stably grouped by owning shard: group s is
+  // grouped[begin[s], begin[s + 1]), in batch order (each user's
+  // chronological order, by contract), and origin[slot] is the batch
+  // position of grouped[slot].
+  const size_t num_shards = shards_.size();
+  std::vector<size_t> begin(num_shards + 1, 0);
+  for (const Event& e : events) ++begin[ShardIndex(e.user, num_shards) + 1];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<Event> grouped(events.size());
+  std::vector<size_t> origin(events.size());
+  std::vector<size_t> fill(begin.begin(), begin.end() - 1);
   for (size_t i = 0; i < events.size(); ++i) {
-    by_shard[ShardIndex(events[i].user, shards_.size())].push_back(i);
+    const size_t slot = fill[ShardIndex(events[i].user, num_shards)]++;
+    grouped[slot] = events[i];
+    origin[slot] = i;
   }
 
-  // Users touched by this batch, in deterministic (shard, first-touch)
-  // order, with each user's final embedding kept for the identify pass.
-  struct TouchedUser {
-    int user = -1;
-    size_t last_event = 0;  // batch position carrying this user's costs
-  };
+  // Users touched by this batch, in (shard, first-touch) order; each
+  // one's `last` is rewritten from its group position to its batch
+  // position, which carries the user's costs.
   std::vector<TouchedUser> touched;
-  std::vector<float> final_embs;
-
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (by_shard[s].empty()) continue;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const std::span<const Event> group(grouped.data() + begin[s],
+                                       begin[s + 1] - begin[s]);
+    if (group.empty()) continue;
     Shard& shard = *shards_[s];
     std::unique_lock<std::shared_mutex> lock(shard.mu);
-
-    // Write-ahead: journal this shard group (the events in batch order,
-    // which replay re-groups identically) before any mutation below. The
-    // grouped positions aren't contiguous in `events`, hence the copy.
-    if (sink_ != nullptr) {
-      std::vector<Event> group;
-      group.reserve(by_shard[s].size());
-      for (size_t i : by_shard[s]) group.push_back(events[i]);
-      SCCF_RETURN_NOT_OK(JournalShardGroupLocked(s, shard, group));
-    } else {
-      ++shard.journal_seq;
-    }
-
-    // Pass 1: append every event to its user's history (cold start
-    // creates the user), recording who was touched.
-    const size_t shard_first = touched.size();
-    std::unordered_map<int, size_t> touched_pos;  // user -> touched index
-    for (size_t i : by_shard[s]) {
-      const Event& e = events[i];
-      auto [hist_it, created] = shard.histories.try_emplace(e.user);
-      hist_it->second.push_back(e.item);
-      result.cold_start_users += created ? 1 : 0;
-      auto [it, inserted] = touched_pos.try_emplace(e.user, touched.size());
-      if (inserted) {
-        touched.push_back({e.user, i});
-        final_embs.resize(final_embs.size() + d, 0.0f);
-      } else {
-        touched[it->second].last_event = i;
-      }
-    }
-
-    // Pass 2: re-infer each touched user once, from the final history,
-    // and push the embedding toward the index — directly when writing
-    // through, via the shard's write buffer when batching compactions.
-    for (size_t t = shard_first; t < touched.size(); ++t) {
-      SCCF_RETURN_NOT_OK(RefreshTouchedUser(
-          shard, touched[t].user, final_embs.data() + t * d,
-          &result.timings[touched[t].last_event]));
-    }
+    // Write-ahead: journal the group before any mutation (replay applies
+    // the same span through the same ApplyGroupLocked).
+    SCCF_RETURN_NOT_OK(JournalShardGroupLocked(s, shard, group));
+    const size_t first = touched.size();
+    SCCF_ASSIGN_OR_RETURN(const size_t created,
+                          ApplyGroupLocked(shard, group, &touched));
+    result.cold_start_users += created;
     result.pending_upserts += shard.pending->size();
+    for (size_t t = first; t < touched.size(); ++t) {
+      touched[t].last = origin[begin[s] + touched[t].last];
+      result.timings[touched[t].last] = touched[t].timing;
+    }
   }
   result.users_touched = touched.size();
 
@@ -370,15 +265,12 @@ StatusOr<RealTimeService::BatchResult> RealTimeService::OnInteractionBatch(
   // Identify outside every write lock: the fresh neighborhood spans all
   // shards, and holding a write lock while taking other shards' read
   // locks would serialize ingest (and risk lock-order deadlock).
-  for (size_t t = 0; t < touched.size(); ++t) {
+  for (const TouchedUser& t : touched) {
     Stopwatch identify_clock;
-    SCCF_ASSIGN_OR_RETURN(
-        std::vector<index::Neighbor> neighbors,
-        SearchAllShards(final_embs.data() + t * d, options_.beta,
-                        touched[t].user));
+    SCCF_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
+                          SearchAllShards(t.emb.data(), options_.beta, t.user));
     (void)neighbors;
-    result.timings[touched[t].last_event].identify_ms =
-        identify_clock.ElapsedMillis();
+    result.timings[t.last].identify_ms = identify_clock.ElapsedMillis();
   }
   return result;
 }
@@ -395,34 +287,57 @@ Status RealTimeService::JournalShardGroupLocked(
   return Status::OK();
 }
 
-Status RealTimeService::RefreshTouchedUser(Shard& shard, int user,
-                                           float* emb,
-                                           UpdateTiming* timing) {
-  const std::vector<int>& history = shard.histories[user];
-
-  Stopwatch infer_clock;
-  InferWindowEmbedding(history, emb);
-  timing->infer_ms = infer_clock.ElapsedMillis();
-
-  Stopwatch index_clock;
-  if (options_.compaction_threshold <= 1) {
-    SCCF_RETURN_NOT_OK(shard.index->Add(user, emb));
-  } else {
-    const bool was_empty = shard.pending->empty();
-    shard.pending->Put(user, emb);
-    if (was_empty) {
-      shard.staged_since_ns.store(NowNs(), std::memory_order_release);
-    }
-    // Count threshold or age bound, whichever trips first — both drain
-    // through the same bit-exact path while this write lock is held.
-    if (shard.pending->size() >= options_.compaction_threshold ||
-        ShardOverdue(shard)) {
-      SCCF_RETURN_NOT_OK(DrainShardLocked(shard));
+StatusOr<size_t> RealTimeService::ApplyGroupLocked(
+    Shard& shard, std::span<const Event> group,
+    std::vector<TouchedUser>* touched) {
+  const size_t first = touched->size();
+  size_t created_users = 0;
+  std::unordered_map<int, size_t> touched_at;  // user -> index in *touched
+  for (size_t i = 0; i < group.size(); ++i) {
+    const Event& e = group[i];
+    auto [hist_it, created] = shard.histories.try_emplace(e.user);
+    hist_it->second.push_back(e.item);  // cold start: creates
+    created_users += created ? 1 : 0;
+    auto [it, inserted] = touched_at.try_emplace(e.user, touched->size());
+    if (inserted) {
+      touched->push_back({e.user, i, {}, {}});
+    } else {
+      (*touched)[it->second].last = i;
     }
   }
-  timing->index_ms = index_clock.ElapsedMillis();
-  shard.vote_items[user] = VoteItems(history);
-  return Status::OK();
+
+  // Re-infer each touched user once, from the final history, and push the
+  // embedding toward the index — directly when writing through, via the
+  // shard's write buffer when batching compactions.
+  for (size_t t = first; t < touched->size(); ++t) {
+    TouchedUser& tu = (*touched)[t];
+    const std::vector<int>& history = shard.histories[tu.user];
+    tu.emb.assign(model_->embedding_dim(), 0.0f);
+
+    Stopwatch infer_clock;
+    InferRecent(*model_, history, options_.infer_window, tu.emb.data());
+    tu.timing.infer_ms = infer_clock.ElapsedMillis();
+
+    Stopwatch index_clock;
+    if (options_.compaction_threshold <= 1) {
+      SCCF_RETURN_NOT_OK(shard.index->Add(tu.user, tu.emb.data()));
+    } else {
+      const bool was_empty = shard.pending->empty();
+      shard.pending->Put(tu.user, tu.emb.data());
+      if (was_empty) {
+        shard.staged_since_ns.store(NowNs(), std::memory_order_release);
+      }
+      // Count threshold or age bound, whichever trips first — both drain
+      // through the same bit-exact path while this write lock is held.
+      if (shard.pending->size() >= options_.compaction_threshold ||
+          ShardOverdue(shard)) {
+        SCCF_RETURN_NOT_OK(DrainShardLocked(shard));
+      }
+    }
+    tu.timing.index_ms = index_clock.ElapsedMillis();
+    shard.vote_items[tu.user] = VoteList(history, options_.vote_window);
+  }
+  return created_users;
 }
 
 Status RealTimeService::Compact() {
@@ -546,7 +461,7 @@ StatusOr<std::vector<index::Neighbor>> RealTimeService::Neighbors(
       return Status::NotFound("user " + std::to_string(user) +
                               " has no history");
     }
-    InferWindowEmbedding(it->second, emb.data());
+    InferRecent(*model_, it->second, options_.infer_window, emb.data());
   }
   return SearchAllShards(emb.data(), effective_beta, user);
 }
@@ -724,9 +639,12 @@ Status RealTimeService::RestoreShard(size_t s, std::string_view payload) {
 
   std::string_view index_blob;
   SCCF_RETURN_NOT_OK(reader.ReadLengthPrefixed(&index_blob));
-  // Shard population is irrelevant here: the blob carries the serializing
+  // Restore starts from an empty index: the blob carries the serializing
   // index's own geometry (e.g. its bootstrap-clamped IVF nlist).
-  std::unique_ptr<index::VectorIndex> index = MakeShardIndex(1);
+  SCCF_ASSIGN_OR_RETURN(
+      std::unique_ptr<index::VectorIndex> index,
+      BuildIndex(options_.index_kind, options_.metric, options_.storage,
+                 options_.ivf, options_.hnsw, d, {}, {}));
   SCCF_RETURN_NOT_OK(index->DeserializeFrom(index_blob));
 
   uint64_t pending_count = 0;
@@ -796,25 +714,10 @@ Status RealTimeService::ApplyJournalRecord(size_t s, uint64_t seq,
                            ", record carries " + std::to_string(seq));
   }
   shard.journal_seq = seq;
-
-  // Same two passes as OnInteractionBatch's per-shard section — append
-  // all events, then refresh each touched user once from their final
-  // history — so replayed state is bit-identical to the original apply.
-  const size_t d = model_->embedding_dim();
-  std::vector<int> touched;
-  std::unordered_map<int, bool> seen;
-  for (const Event& e : events) {
-    auto [hist_it, created] = shard.histories.try_emplace(e.user);
-    hist_it->second.push_back(e.item);
-    (void)created;
-    if (seen.emplace(e.user, true).second) touched.push_back(e.user);
-  }
-  std::vector<float> emb(d, 0.0f);
-  UpdateTiming timing;
-  for (int user : touched) {
-    SCCF_RETURN_NOT_OK(RefreshTouchedUser(shard, user, emb.data(), &timing));
-  }
-  return Status::OK();
+  // The record is the span OnInteractionBatch journaled for this group,
+  // applied by the same routine, so replayed state is bit-identical.
+  std::vector<TouchedUser> touched;
+  return ApplyGroupLocked(shard, events, &touched).status();
 }
 
 uint64_t RealTimeService::ShardJournalSeq(size_t s) const {

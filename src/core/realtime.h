@@ -132,6 +132,7 @@ class RealTimeService {
     /// population (hash partitioning makes shard sizes data-dependent, so
     /// a fixed nlist could exceed a small shard); empty shards train a
     /// one-centroid quantizer so cold-start users can still be added.
+    /// Both come from core::BuildIndex.
     index::IvfFlatIndex::Options ivf;
     index::HnswIndex::Options hnsw;
     /// Durability knobs, carried here because Engine::Options aliases
@@ -202,9 +203,8 @@ class RealTimeService {
   /// lock), and identifies the fresh neighborhood via the all-shard
   /// fan-out. Unknown users are created on the fly (cold start).
   /// Thread-safe; concurrent callers on different shards run in parallel.
-  /// Implemented as OnInteractionBatch over a single event — pinned
-  /// bit-identical to the historical per-event path by
-  /// EngineTest.SingleEventBatchMatchesOnInteraction.
+  /// It is OnInteractionBatch over a one-event batch: there is no
+  /// separate single-event path.
   StatusOr<UpdateTiming> OnInteraction(int user, int item);
 
   /// What one ingest batch did, observed under the locks the batch
@@ -221,12 +221,16 @@ class RealTimeService {
     size_t pending_upserts = 0;
   };
 
-  /// Batched ingest, the amortized write path: events are grouped by
-  /// shard, each shard's write lock is taken once per batch, histories
-  /// and vote lists absorb every event, and only each touched user's
-  /// *final* embedding is re-inferred and pushed toward the index —
-  /// staged through the shard's write buffer when
-  /// Options::compaction_threshold > 1. With `identify` false the
+  /// The one ingest path, for batches of any size (one event included):
+  /// the events are copied once, stably grouped by shard, and each
+  /// shard's group — a contiguous span in batch order — is journaled
+  /// and then applied under that shard's write lock, taken once per
+  /// batch. Applying a group appends every event to its user's history,
+  /// then re-infers each touched user once, from the final history, in
+  /// first-touch order, and pushes that *final* embedding toward the
+  /// index — staged through the shard's write buffer when
+  /// Options::compaction_threshold > 1. ApplyJournalRecord replays a
+  /// group through the same routine. With `identify` false the
   /// post-update neighborhood search is skipped (pure ingest, e.g.
   /// offline replay).
   ///
@@ -331,11 +335,12 @@ class RealTimeService {
   /// seq <= the shard's current sequence number are skipped (already
   /// covered by the restored snapshot); the next expected record must
   /// carry exactly seq+1 (a gap means journal corruption -> IoError).
-  /// Applies the same mutations OnInteractionBatch's per-shard pass
-  /// applies — histories, vote lists, embedding refresh, index staging —
-  /// without re-journaling and without the identify fan-out (identify
-  /// never mutates state), so a snapshot + replayed tail is bit-identical
-  /// to the uninterrupted run. Pre: Bootstrap has run; no concurrent use.
+  /// The record is the span OnInteractionBatch journaled for one shard
+  /// group, and it goes through the same per-shard apply routine —
+  /// histories, vote lists, embedding refresh, index staging — without
+  /// re-journaling and without the identify fan-out (identify never
+  /// mutates state), so a snapshot + replayed tail is bit-identical to
+  /// the uninterrupted run. Pre: Bootstrap has run; no concurrent use.
   Status ApplyJournalRecord(size_t s, uint64_t seq,
                             std::span<const Event> events);
 
@@ -396,22 +401,29 @@ class RealTimeService {
     uint64_t journal_seq = 0;
   };
 
-  void InferWindowEmbedding(const std::vector<int>& history,
-                            float* out) const;
-  std::vector<int> VoteItems(const std::vector<int>& history) const;
-  std::unique_ptr<index::VectorIndex> MakeShardIndex(
-      size_t shard_population) const;
   /// Builds one shard's maps and index from its bootstrap users. Runs on
   /// the global pool; touches only `shard` (no locking needed before the
   /// service is published).
   Status BuildShard(Shard* shard,
                     const std::vector<const UserState*>& users) const;
-  /// One touched user's refresh, under `shard`'s already-held write
-  /// lock: re-infers the final embedding (into `emb`, d floats), stages
-  /// or applies the index update per compaction_threshold, snapshots
-  /// the vote list, and records infer/index timings.
-  Status RefreshTouchedUser(Shard& shard, int user, float* emb,
-                            UpdateTiming* timing);
+  /// One user a shard group touched (see ApplyGroupLocked).
+  struct TouchedUser {
+    int user = -1;
+    size_t last = 0;         ///< group position of the user's last event
+    UpdateTiming timing;     ///< infer/index cost of its one refresh
+    std::vector<float> emb;  ///< its final embedding
+  };
+  /// The per-shard apply step of every ingest, live or replayed. Pre:
+  /// `shard.mu` is held exclusively and every event of `group` belongs
+  /// to `shard`. Appends each event to its user's history (cold start
+  /// creates the user), then refreshes each touched user once, from the
+  /// final history, in first-touch order: re-infers the embedding, writes
+  /// it through or stages it per compaction_threshold, and snapshots the
+  /// vote list. Appends the touched users to `*touched`; returns how many
+  /// users the group created.
+  StatusOr<size_t> ApplyGroupLocked(Shard& shard,
+                                    std::span<const Event> group,
+                                    std::vector<TouchedUser>* touched);
   /// Offers one shard's candidates for the top-k to `acc` under the
   /// shard's shared lock: the backend's Search hits at or above
   /// acc->Floor() (staged ids shadowed) and the shard's write buffer.
@@ -464,13 +476,14 @@ class RealTimeService {
 
 /// Write-ahead sink for ingest events — the seam between the service and
 /// the persistence journal. OnInteractionBatch calls Append once per
-/// (batch, shard) group, under that shard's exclusive lock and BEFORE any
-/// mutation, with the shard's next sequence number; an Append error
-/// aborts the group with no state change, so the journal can never lag
-/// the in-memory state. Implementations must tolerate concurrent Append
-/// calls for different shards (the service holds at most one shard lock,
-/// so a sink-internal mutex nests strictly inside shard locks) and must
-/// never call back into the service.
+/// (batch, shard) group — that shard's events, in batch order — under
+/// the shard's exclusive lock and BEFORE any mutation, with the shard's
+/// next sequence number; an Append error aborts the group with no state
+/// change, so the journal can never lag the in-memory state.
+/// Implementations must tolerate concurrent Append calls for different
+/// shards (the service holds at most one shard lock, so a sink-internal
+/// mutex nests strictly inside shard locks) and must never call back
+/// into the service.
 class IngestSink {
  public:
   virtual ~IngestSink() = default;

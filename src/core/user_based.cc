@@ -1,44 +1,66 @@
 #include "core/user_based.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "simd/kernels.h"
 #include "util/logging.h"
 
 namespace sccf::core {
 
+StatusOr<std::unique_ptr<index::VectorIndex>> BuildIndex(
+    IndexKind kind, index::Metric metric, quant::Storage storage,
+    const index::IvfFlatIndex::Options& ivf,
+    const index::HnswIndex::Options& hnsw, size_t dim,
+    std::span<const int> ids, const std::vector<float>& rows) {
+  SCCF_CHECK_EQ(rows.size(), ids.size() * dim);
+  std::unique_ptr<index::VectorIndex> index;
+  switch (kind) {
+    case IndexKind::kBruteForce:
+      index = std::make_unique<index::BruteForceIndex>(dim, metric, storage);
+      break;
+    case IndexKind::kIvfFlat: {
+      const size_t n = std::max<size_t>(1, ids.size());
+      index::IvfFlatIndex::Options clamped = ivf;
+      clamped.nlist = std::min(ivf.nlist, n);
+      auto ivf_index = std::make_unique<index::IvfFlatIndex>(
+          dim, metric, clamped, storage);
+      // With no rows, one centroid at the origin.
+      const std::vector<float> origin(ids.empty() ? dim : 0, 0.0f);
+      SCCF_RETURN_NOT_OK(ivf_index->Train(ids.empty() ? origin : rows, n));
+      index = std::move(ivf_index);
+      break;
+    }
+    case IndexKind::kHnsw:
+      index = std::make_unique<index::HnswIndex>(dim, metric, hnsw, storage);
+      break;
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    SCCF_RETURN_NOT_OK(index->Add(ids[i], rows.data() + i * dim));
+  }
+  return index;
+}
+
+void InferRecent(const models::InductiveUiModel& model,
+                 std::span<const int> history, size_t window, float* out) {
+  const size_t take =
+      window == 0 ? history.size() : std::min(history.size(), window);
+  model.InferUserEmbedding(history.last(take), out);
+}
+
+std::vector<int> VoteList(std::span<const int> history, size_t window) {
+  const size_t take =
+      window == 0 ? history.size() : std::min(history.size(), window);
+  std::vector<int> votes(history.end() - take, history.end());
+  std::sort(votes.begin(), votes.end());
+  votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
+  return votes;
+}
+
 UserBasedComponent::UserBasedComponent(const models::InductiveUiModel& base,
                                        Options options)
     : base_(&base), options_(options) {
   SCCF_CHECK_GT(options_.beta, 0u);
-}
-
-std::unique_ptr<index::VectorIndex> UserBasedComponent::MakeIndex(
-    size_t /*n*/) const {
-  const size_t d = base_->embedding_dim();
-  switch (options_.index_kind) {
-    case IndexKind::kBruteForce:
-      return std::make_unique<index::BruteForceIndex>(
-          d, options_.metric, options_.storage);
-    case IndexKind::kIvfFlat:
-      return std::make_unique<index::IvfFlatIndex>(d, options_.metric,
-                                                   options_.ivf,
-                                                   options_.storage);
-    case IndexKind::kHnsw:
-      return std::make_unique<index::HnswIndex>(d, options_.metric,
-                                                options_.hnsw,
-                                                options_.storage);
-  }
-  return nullptr;
-}
-
-void UserBasedComponent::InferWindowEmbedding(std::span<const int> history,
-                                              float* out) const {
-  const size_t take = options_.infer_window == 0
-                          ? history.size()
-                          : std::min(history.size(), options_.infer_window);
-  base_->InferUserEmbedding(history.subspan(history.size() - take, take),
-                            out);
 }
 
 Status UserBasedComponent::Fit(const data::LeaveOneOutSplit& split) {
@@ -49,7 +71,6 @@ Status UserBasedComponent::Fit(const data::LeaveOneOutSplit& split) {
   const size_t n = split.num_users();
   const size_t d = base_->embedding_dim();
   num_items_ = split.dataset().num_items();
-  index_ = MakeIndex(n);
   vote_items_.assign(n, {});
 
   // Infer all user embeddings (parallel-safe: base inference is const).
@@ -59,26 +80,16 @@ Status UserBasedComponent::Fit(const data::LeaveOneOutSplit& split) {
         options_.include_validation ? split.TrainPlusValidSequence(u)
                                     : split.TrainSequence(u);
     if (history.empty()) continue;
-    InferWindowEmbedding(history, embeddings.data() + u * d);
-
-    const size_t vt = options_.vote_window == 0
-                          ? history.size()
-                          : std::min(history.size(), options_.vote_window);
-    std::vector<int> votes(history.end() - vt, history.end());
-    std::sort(votes.begin(), votes.end());
-    votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-    vote_items_[u] = std::move(votes);
+    InferRecent(*base_, history, options_.infer_window,
+                embeddings.data() + u * d);
+    vote_items_[u] = VoteList(history, options_.vote_window);
   }
-
-  // IVF needs a training pass over the corpus before inserts.
-  if (options_.index_kind == IndexKind::kIvfFlat) {
-    auto* ivf = static_cast<index::IvfFlatIndex*>(index_.get());
-    SCCF_RETURN_NOT_OK(ivf->Train(embeddings, n));
-  }
-  for (size_t u = 0; u < n; ++u) {
-    SCCF_RETURN_NOT_OK(
-        index_->Add(static_cast<int>(u), embeddings.data() + u * d));
-  }
+  std::vector<int> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  SCCF_ASSIGN_OR_RETURN(
+      index_, BuildIndex(options_.index_kind, options_.metric,
+                         options_.storage, options_.ivf, options_.hnsw, d,
+                         ids, embeddings));
   return Status::OK();
 }
 
@@ -96,7 +107,7 @@ void UserBasedComponent::ScoreAll(size_t u, std::span<const int> history,
   if (history.empty()) return;
 
   std::vector<float> query(base_->embedding_dim(), 0.0f);
-  InferWindowEmbedding(history, query.data());
+  InferRecent(*base_, history, options_.infer_window, query.data());
   const std::vector<index::Neighbor> neighborhood =
       Neighbors(query.data(), options_.beta, static_cast<int>(u));
 
@@ -119,19 +130,13 @@ Status UserBasedComponent::UpdateUser(int u, std::span<const int> history) {
   if (u < 0) return Status::InvalidArgument("user id must be >= 0");
   const size_t d = base_->embedding_dim();
   std::vector<float> emb(d, 0.0f);
-  InferWindowEmbedding(history, emb.data());
+  InferRecent(*base_, history, options_.infer_window, emb.data());
   SCCF_RETURN_NOT_OK(index_->Add(u, emb.data()));
 
   if (static_cast<size_t>(u) >= vote_items_.size()) {
     vote_items_.resize(u + 1);
   }
-  const size_t vt = options_.vote_window == 0
-                        ? history.size()
-                        : std::min(history.size(), options_.vote_window);
-  std::vector<int> votes(history.end() - vt, history.end());
-  std::sort(votes.begin(), votes.end());
-  votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-  vote_items_[u] = std::move(votes);
+  vote_items_[u] = VoteList(history, options_.vote_window);
   return Status::OK();
 }
 

@@ -12,11 +12,31 @@
 #include "index/ivf_flat_index.h"
 #include "index/vector_index.h"
 #include "models/recommender.h"
+#include "util/status.h"
 
 namespace sccf::core {
 
 /// Which ANN backend identifies the user neighborhood.
 enum class IndexKind { kBruteForce, kIvfFlat, kHnsw };
+
+/// The one backend factory: a `kind` index holding ids[i] -> row i of
+/// `rows` (ids.size() x dim floats, row-major). IVF first trains its
+/// coarse quantizer on those rows with nlist clamped to their count; with
+/// no rows it trains one centroid at the origin, so later Adds still land.
+StatusOr<std::unique_ptr<index::VectorIndex>> BuildIndex(
+    IndexKind kind, index::Metric metric, quant::Storage storage,
+    const index::IvfFlatIndex::Options& ivf,
+    const index::HnswIndex::Options& hnsw, size_t dim,
+    std::span<const int> ids, const std::vector<float>& rows);
+
+/// Infers a user embedding (into `out`, embedding_dim floats) from the
+/// last `window` items of `history` (all of them when `window` is 0).
+void InferRecent(const models::InductiveUiModel& model,
+                 std::span<const int> history, size_t window, float* out);
+
+/// The items a user votes for in Eq. 12: the last `window` items of
+/// `history` (all of them when `window` is 0), sorted and deduplicated.
+std::vector<int> VoteList(std::span<const int> history, size_t window);
 
 /// The SCCF user-based component (paper Sec. III-C).
 ///
@@ -43,6 +63,7 @@ class UserBasedComponent : public models::Recommender {
     /// Build the user snapshot from prefix+validation histories (test-time
     /// protocol) instead of training prefixes.
     bool include_validation = false;
+    /// nlist is clamped to the user count (see BuildIndex).
     index::IvfFlatIndex::Options ivf;
     index::HnswIndex::Options hnsw;
   };
@@ -82,9 +103,6 @@ class UserBasedComponent : public models::Recommender {
   }
 
  private:
-  std::unique_ptr<index::VectorIndex> MakeIndex(size_t n) const;
-  void InferWindowEmbedding(std::span<const int> history, float* out) const;
-
   const models::InductiveUiModel* base_;
   Options options_;
   size_t num_items_ = 0;

@@ -42,8 +42,8 @@ Status IvfFlatIndex::Train(const std::vector<float>& vectors, size_t n) {
   centroids_.assign(nlist * dim_, 0.0f);
   std::vector<uint64_t> seeds = rng.SampleWithoutReplacement(n, nlist);
   for (size_t c = 0; c < nlist; ++c) {
-    std::copy(&train[seeds[c] * dim_], &train[(seeds[c] + 1) * dim_],
-              &centroids_[c * dim_]);
+    std::copy_n(train.data() + seeds[c] * dim_, dim_,
+                centroids_.data() + c * dim_);
   }
 
   std::vector<size_t> assign(n, 0);
@@ -68,8 +68,8 @@ Status IvfFlatIndex::Train(const std::vector<float>& vectors, size_t n) {
         // Re-seed an empty cluster with a random vector to keep all lists
         // usable.
         const size_t pick = rng.Uniform(n);
-        std::copy(&train[pick * dim_], &train[(pick + 1) * dim_],
-                  &centroids_[c * dim_]);
+        std::copy_n(train.data() + pick * dim_, dim_,
+                    centroids_.data() + c * dim_);
         continue;
       }
       const float inv = 1.0f / count[c];
@@ -232,9 +232,9 @@ Status IvfFlatIndex::DeserializeFrom(std::string_view in) {
   SCCF_RETURN_NOT_OK(reader.ReadU8(&trained));
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&nlist));
   // The serializing index's nlist was clamped to its *bootstrap*
-  // population (see core::RealTimeService::MakeShardIndex), which a
-  // restoring index constructed later cannot re-derive — so the blob's
-  // nlist is authoritative and options_.nlist is adopted from it below.
+  // population (see core::BuildIndex), which a restoring index
+  // constructed later cannot re-derive — so the blob's nlist is
+  // authoritative and options_.nlist is adopted from it below.
   // Bound it only against the buffer so an adversarial count cannot
   // drive the centroid read into a huge allocation.
   if (trained != 0 &&

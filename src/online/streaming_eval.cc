@@ -5,31 +5,12 @@
 #include <cmath>
 #include <memory>
 
-#include "index/brute_force_index.h"
-#include "index/hnsw_index.h"
-#include "index/ivf_flat_index.h"
 #include "online/engine.h"
 #include "util/logging.h"
 
 namespace sccf::online {
 
 namespace {
-
-std::unique_ptr<index::VectorIndex> MakeIndex(core::IndexKind kind,
-                                              size_t dim) {
-  switch (kind) {
-    case core::IndexKind::kBruteForce:
-      return std::make_unique<index::BruteForceIndex>(
-          dim, index::Metric::kCosine);
-    case core::IndexKind::kIvfFlat:
-      return std::make_unique<index::IvfFlatIndex>(
-          dim, index::Metric::kCosine, index::IvfFlatIndex::Options{});
-    case core::IndexKind::kHnsw:
-      return std::make_unique<index::HnswIndex>(
-          dim, index::Metric::kCosine, index::HnswIndex::Options{});
-  }
-  return nullptr;
-}
 
 // Rank of `target` among vote scores; history masked to 0 votes.
 size_t RankByVotes(const std::vector<index::Neighbor>& neighbors,
@@ -110,18 +91,11 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
     const size_t len = dataset.sequence(u).size();
     return len >= 2 * options.tail_events ? len - options.tail_events : len;
   };
-  auto infer_tail = [&](std::span<const int> history, float* out) {
-    const size_t take = options.infer_window == 0
-                            ? history.size()
-                            : std::min(history.size(), options.infer_window);
-    model.InferUserEmbedding(
-        history.subspan(history.size() - take, take), out);
-  };
 
   // The live regime IS the deployment loop, so it runs through the
   // serving Engine: one shard (bit-identical to a single index, same
-  // insertion order), per-event batched ingest, and the write-buffered
-  // index refresh when compaction_threshold > 1.
+  // insertion order), one batched ingest per reveal window, and the
+  // write-buffered index refresh when compaction_threshold > 1.
   Engine::Options live_opts;
   live_opts.beta = options.beta;
   live_opts.infer_window = options.infer_window;
@@ -146,49 +120,22 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
   std::vector<std::vector<int>> vote_items(n);
   std::vector<float> bootstrap_emb(n * d, 0.0f);
   std::vector<int> populated;  // users with a non-empty prefix
+  std::vector<float> populated_emb;
   for (size_t u = 0; u < n; ++u) {
-    const auto& seq = dataset.sequence(u);
-    const size_t p = prefix_len(u);
-    if (p == 0) continue;
-    std::span<const int> prefix(seq.data(), p);
-    infer_tail(prefix, bootstrap_emb.data() + u * d);
+    const std::span<const int> prefix(dataset.sequence(u).data(),
+                                      prefix_len(u));
+    if (prefix.empty()) continue;
+    float* emb = bootstrap_emb.data() + u * d;
+    core::InferRecent(model, prefix, options.infer_window, emb);
     populated.push_back(static_cast<int>(u));
-    const size_t vt = options.vote_window == 0
-                          ? p
-                          : std::min(p, options.vote_window);
-    std::vector<int> votes(prefix.end() - vt, prefix.end());
-    std::sort(votes.begin(), votes.end());
-    votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-    vote_items[u] = std::move(votes);
+    populated_emb.insert(populated_emb.end(), emb, emb + d);
+    vote_items[u] = core::VoteList(prefix, options.vote_window);
   }
-  std::unique_ptr<index::VectorIndex> frozen;
-  if (options.index_kind == core::IndexKind::kIvfFlat) {
-    // IVF needs a trained coarse quantizer before Add; clamp nlist to
-    // the snapshot population like the serving shards do.
-    index::IvfFlatIndex::Options ivf_opts;
-    ivf_opts.nlist =
-        std::min(ivf_opts.nlist, std::max<size_t>(1, populated.size()));
-    auto ivf = std::make_unique<index::IvfFlatIndex>(
-        d, index::Metric::kCosine, ivf_opts);
-    std::vector<float> train_set;
-    train_set.reserve(populated.size() * d);
-    for (int u : populated) {
-      train_set.insert(train_set.end(), bootstrap_emb.begin() + u * d,
-                       bootstrap_emb.begin() + (u + 1) * d);
-    }
-    if (populated.empty()) {
-      train_set.assign(d, 0.0f);  // one-centroid quantizer on the origin
-      SCCF_RETURN_NOT_OK(ivf->Train(train_set, 1));
-    } else {
-      SCCF_RETURN_NOT_OK(ivf->Train(train_set, populated.size()));
-    }
-    frozen = std::move(ivf);
-  } else {
-    frozen = MakeIndex(options.index_kind, d);
-  }
-  for (int u : populated) {
-    SCCF_RETURN_NOT_OK(frozen->Add(u, bootstrap_emb.data() + u * d));
-  }
+  SCCF_ASSIGN_OR_RETURN(
+      std::unique_ptr<index::VectorIndex> frozen,
+      core::BuildIndex(options.index_kind, index::Metric::kCosine,
+                       quant::Storage::kFp32, {}, {}, d, populated,
+                       populated_emb));
 
   StreamingEvalResult result;
   result.cutoffs = options.cutoffs;
@@ -246,7 +193,7 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
       auto live_resp =
           engine.Neighbors({static_cast<int>(e.user), std::nullopt});
       SCCF_RETURN_NOT_OK(live_resp.status());
-      infer_tail(history, emb.data());
+      core::InferRecent(model, history, options.infer_window, emb.data());
       auto frozen_nbrs = frozen->Search(emb.data(), options.beta,
                                         static_cast<int>(e.user));
       SCCF_RETURN_NOT_OK(frozen_nbrs.status());
@@ -280,26 +227,15 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
     // (history, vote list, embedding re-inference, buffered index
     // refresh); the frozen regime keeps serving the stale snapshot.
     // `identify` is off — the next prediction does its own search.
-    if (options.batch_reveal_ingest) {
-      Engine::IngestRequest reveal;
-      reveal.identify = false;
-      reveal.events.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        const TailEvent& e = events[i];
-        reveal.events.push_back({static_cast<int>(e.user),
-                                 dataset.sequence(e.user)[e.pos], e.ts});
-      }
-      SCCF_RETURN_NOT_OK(engine.Ingest(reveal).status());
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const TailEvent& e = events[i];
-        Engine::IngestRequest reveal;
-        reveal.identify = false;
-        reveal.events.push_back({static_cast<int>(e.user),
-                                 dataset.sequence(e.user)[e.pos], e.ts});
-        SCCF_RETURN_NOT_OK(engine.Ingest(reveal).status());
-      }
+    Engine::IngestRequest reveal;
+    reveal.identify = false;
+    reveal.events.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      const TailEvent& e = events[i];
+      reveal.events.push_back({static_cast<int>(e.user),
+                               dataset.sequence(e.user)[e.pos], e.ts});
     }
+    SCCF_RETURN_NOT_OK(engine.Ingest(reveal).status());
   }
   result.eval_wall_ms =
       std::chrono::duration<double, std::milli>(

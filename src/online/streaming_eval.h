@@ -59,11 +59,6 @@ struct StreamingEvalOptions {
   /// second event in a window is predicted without their first having
   /// been absorbed) for throughput. Must be >= 1.
   size_t reveal_window = 1;
-
-  /// Reference switch for equivalence testing: when false, the window's
-  /// reveals are applied as reveal_window single-event Ingest calls (same
-  /// prediction cadence, unbatched write path) instead of one batch.
-  bool batch_reveal_ingest = true;
 };
 
 struct StreamingEvalResult {

@@ -190,6 +190,41 @@ TEST_F(CoreTest, IndexBackendsAgreeOnTopNeighbor) {
   }
 }
 
+// A corpus smaller than IVF's default nlist (64): Fit clamps nlist to the
+// population, as the serving shards do, instead of failing to train.
+TEST(UserBasedSmallCorpusTest, IvfFitsAndServesFortyUsers) {
+  data::SyntheticConfig cfg;
+  cfg.name = "forty-users";
+  cfg.num_users = 40;
+  cfg.num_items = 60;
+  cfg.num_clusters = 4;
+  cfg.min_actions = 8;
+  cfg.max_actions = 16;
+  cfg.seed = 5;
+  auto ds = data::SyntheticGenerator(cfg).Generate();
+  ASSERT_TRUE(ds.ok());
+  const data::LeaveOneOutSplit split(*ds);
+  models::Fism::Options fopts;
+  fopts.dim = 8;
+  fopts.epochs = 2;
+  models::Fism fism(fopts);
+  ASSERT_TRUE(fism.Fit(split).ok());
+
+  UserBasedComponent::Options opts;
+  opts.beta = 10;
+  opts.index_kind = IndexKind::kIvfFlat;
+  ASSERT_EQ(opts.ivf.nlist, 64u);
+  UserBasedComponent uu(fism, opts);
+  const Status fit = uu.Fit(split);
+  ASSERT_TRUE(fit.ok()) << fit.ToString();
+  EXPECT_EQ(uu.index().size(), 40u);
+  std::vector<float> scores;
+  uu.ScoreAll(3, split.TrainSequence(3), &scores);
+  size_t positive = 0;
+  for (float s : scores) positive += s > 0.0f;
+  EXPECT_GT(positive, 0u);
+}
+
 // --------------------------------------------------------- IntegratingMlp
 
 IntegratingMlp::UserBatch MakeBatch(Rng& rng, size_t c, size_t dim,

@@ -354,6 +354,37 @@ TEST_F(EngineTest, BatchedIngestWithCompactionMatchesSequentialReplay) {
   }
 }
 
+// One batch must leave the engine exactly as the same events ingested one
+// at a time, for every backend. Both sides keep every refresh staged (the
+// threshold is above the event count), so the backend indexes stay as
+// bootstrapped and the write buffers, whose latest-row shadowing is exact,
+// hold the same rows in the same order: the agreement is exact even for
+// IVF-Flat and HNSW.
+TEST_F(EngineTest, OneBatchMatchesOneEventAtATimeAllBackends) {
+  const std::vector<Engine::Event> events = ShuffledEventLog();
+  std::vector<int> users = {5000, 5001, 40};
+  for (int u = 0; u < 30; ++u) users.push_back(u);
+  for (IndexKind kind :
+       {IndexKind::kBruteForce, IndexKind::kIvfFlat, IndexKind::kHnsw}) {
+    SCOPED_TRACE("backend " + std::to_string(static_cast<int>(kind)));
+    Engine::Options opts = BaseOptions();
+    opts.index_kind = kind;
+    opts.compaction_threshold = events.size() + 1;
+    Engine batched(*fism_, opts);
+    Engine one_at_a_time(*fism_, opts);
+    ASSERT_TRUE(batched.BootstrapFromSplit(*split_).ok());
+    ASSERT_TRUE(one_at_a_time.BootstrapFromSplit(*split_).ok());
+
+    ASSERT_TRUE(batched.Ingest({events, false}).ok());
+    for (const Engine::Event& e : events) {
+      ASSERT_TRUE(one_at_a_time.Ingest({{e}, false}).ok());
+    }
+    EXPECT_GT(batched.pending_upserts(), 0u);
+    EXPECT_EQ(batched.pending_upserts(), one_at_a_time.pending_upserts());
+    ExpectSameState(batched.service(), one_at_a_time.service(), users);
+  }
+}
+
 // ------------------------------------------ pre-compaction freshness
 
 // Queries must merge the write buffer: a cold-start user ingested with a

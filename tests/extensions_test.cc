@@ -524,45 +524,6 @@ TEST_F(ExtensionsTest, RevealWindowOneMatchesLegacyBitIdentically) {
   }
 }
 
-// For reveal_window > 1 the batched window-Ingest must land the engine in
-// the same effective state as revealing the window event-by-event at the
-// same prediction cadence. With compaction_threshold above the event
-// count every reveal stays staged in the UpsertBuffer, whose latest-row
-// shadowing is exact for every backend — so the agreement is exact, not
-// approximate, for brute force, IVF-Flat, and HNSW alike.
-TEST_F(ExtensionsTest, BatchedRevealMatchesSequentialRevealAllBackends) {
-  models::Fism::Options fopts;
-  fopts.dim = 16;
-  fopts.epochs = 4;
-  models::Fism fism(fopts);
-  ASSERT_TRUE(fism.Fit(*split_).ok());
-
-  for (core::IndexKind kind :
-       {core::IndexKind::kBruteForce, core::IndexKind::kIvfFlat,
-        core::IndexKind::kHnsw}) {
-    for (size_t window : {size_t{8}, size_t{32}}) {
-      SCOPED_TRACE("backend " + std::to_string(static_cast<int>(kind)) +
-                   " window " + std::to_string(window));
-      online::StreamingEvalOptions opts;
-      opts.tail_events = 3;
-      opts.cutoffs = {20, 50};
-      opts.index_kind = kind;
-      opts.compaction_threshold = 1u << 20;
-      opts.reveal_window = window;
-
-      opts.batch_reveal_ingest = true;
-      auto batched = online::EvaluateStreamingUserBased(fism, *dataset_, opts);
-      ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-      opts.batch_reveal_ingest = false;
-      auto sequential =
-          online::EvaluateStreamingUserBased(fism, *dataset_, opts);
-      ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-      ASSERT_GT(batched->num_predictions, 0u);
-      ExpectSameMetrics(*batched, *sequential);
-    }
-  }
-}
-
 TEST_F(ExtensionsTest, StreamingEvalRejectsZeroRevealWindow) {
   models::Fism::Options fopts;
   fopts.dim = 8;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/realtime.h"
 #include "data/split.h"
@@ -331,6 +334,140 @@ TEST_F(RealTimeTest, ColdStartMatchesFromScratchBootstrap) {
   ASSERT_EQ(top1_per_backend.size(), 3u);
   EXPECT_EQ(top1_per_backend[0], top1_per_backend[1]);
   EXPECT_EQ(top1_per_backend[0], top1_per_backend[2]);
+}
+
+/// Records every journal append; appends for `fail_shard` fail instead.
+class RecordingSink : public IngestSink {
+ public:
+  struct Record {
+    size_t shard = 0;
+    uint64_t seq = 0;
+    std::vector<RealTimeService::Event> events;
+  };
+  Status Append(size_t shard, uint64_t seq,
+                std::span<const RealTimeService::Event> events) override {
+    if (shard == fail_shard) return Status::IoError("injected append failure");
+    records.push_back({shard, seq, {events.begin(), events.end()}});
+    return Status::OK();
+  }
+  std::vector<Record> records;
+  size_t fail_shard = SIZE_MAX;
+};
+
+// The ordering one ingest batch promises: each shard's journal record holds
+// exactly that shard's events in batch order, under the shard's previous
+// sequence number + 1; a failed append leaves its shard unchanged; and a
+// user's costs land on its last event of the batch, with every earlier
+// event reading 0.
+TEST_F(RealTimeTest, BatchJournalsShardGroupsInBatchOrder) {
+  using Event = RealTimeService::Event;
+  RealTimeService::Options opts;
+  opts.beta = 10;
+  opts.num_shards = 4;
+  RealTimeService svc(*fism_, opts);
+  ASSERT_TRUE(svc.BootstrapFromSplit(*split_).ok());
+  RecordingSink sink;
+  svc.set_ingest_sink(&sink);
+
+  // One bootstrap user from each of three shards, plus a cold start.
+  std::vector<int> picked;
+  std::vector<size_t> picked_shards;
+  for (int u = 0; picked.size() < 3; ++u) {
+    if (std::find(picked_shards.begin(), picked_shards.end(),
+                  svc.ShardOf(u)) != picked_shards.end()) {
+      continue;
+    }
+    picked.push_back(u);
+    picked_shards.push_back(svc.ShardOf(u));
+  }
+  const int a = picked[0], b = picked[1], c = picked[2], cold = 9000;
+  ASSERT_FALSE(svc.History(cold).ok());
+  const std::vector<Event> batch = {{a, 1, 0},    {b, 2, 0}, {cold, 3, 0},
+                                    {a, 4, 1},    {c, 5, 0}, {b, 6, 1},
+                                    {cold, 7, 1}, {a, 8, 2}, {c, 9, 1}};
+
+  const auto expect_records_in_batch_order = [&](size_t first_record,
+                                                 uint64_t seq) {
+    size_t groups = 0;
+    for (size_t s = 0; s < svc.num_shards(); ++s) {
+      std::vector<Event> expected;
+      for (const Event& e : batch) {
+        if (svc.ShardOf(e.user) == s) expected.push_back(e);
+      }
+      if (expected.empty()) continue;
+      ++groups;
+      size_t found = 0;
+      for (size_t r = first_record; r < sink.records.size(); ++r) {
+        const RecordingSink::Record& rec = sink.records[r];
+        if (rec.shard != s) continue;
+        ++found;
+        EXPECT_EQ(rec.seq, seq) << "shard " << s;
+        ASSERT_EQ(rec.events.size(), expected.size()) << "shard " << s;
+        for (size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(rec.events[i].user, expected[i].user);
+          EXPECT_EQ(rec.events[i].item, expected[i].item);
+          EXPECT_EQ(rec.events[i].ts, expected[i].ts);
+        }
+      }
+      EXPECT_EQ(found, 1u) << "shard " << s;
+    }
+    EXPECT_EQ(sink.records.size() - first_record, groups);
+    EXPECT_GE(groups, 3u);
+  };
+
+  for (uint64_t round = 1; round <= 2; ++round) {
+    const size_t first_record = sink.records.size();
+    auto result = svc.OnInteractionBatch(batch);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expect_records_in_batch_order(first_record, round);
+    EXPECT_EQ(result->users_touched, 4u);
+    EXPECT_EQ(result->cold_start_users, round == 1 ? 1u : 0u);
+    ASSERT_EQ(result->timings.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      bool is_last = true;
+      for (size_t j = i + 1; j < batch.size(); ++j) {
+        is_last = is_last && batch[j].user != batch[i].user;
+      }
+      const RealTimeService::UpdateTiming& t = result->timings[i];
+      if (is_last) {
+        EXPECT_GT(t.infer_ms, 0.0) << "position " << i;
+        EXPECT_GT(t.identify_ms, 0.0) << "position " << i;
+      } else {
+        EXPECT_EQ(t.infer_ms, 0.0) << "position " << i;
+        EXPECT_EQ(t.index_ms, 0.0) << "position " << i;
+        EXPECT_EQ(t.identify_ms, 0.0) << "position " << i;
+      }
+    }
+  }
+  EXPECT_EQ(*svc.History(cold), (std::vector<int>{3, 7, 3, 7}));
+
+  // A failing append for c's shard cuts the batch short there and leaves
+  // that shard exactly as it was.
+  const size_t failing = svc.ShardOf(c);
+  std::vector<std::vector<int>> histories_before, votes_before;
+  std::vector<int> failing_users;
+  for (int user : {a, b, c, cold}) {
+    if (svc.ShardOf(user) != failing) continue;
+    failing_users.push_back(user);
+    histories_before.push_back(*svc.History(user));
+    votes_before.push_back(*svc.VoteItems(user));
+  }
+  const uint64_t seq_before = svc.ShardJournalSeq(failing);
+  const size_t users_before = svc.ShardSizes()[failing];
+  sink.fail_shard = failing;
+  EXPECT_EQ(svc.OnInteractionBatch(batch).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(svc.ShardJournalSeq(failing), seq_before);
+  EXPECT_EQ(svc.ShardSizes()[failing], users_before);
+  for (size_t i = 0; i < failing_users.size(); ++i) {
+    EXPECT_EQ(*svc.History(failing_users[i]), histories_before[i]);
+    EXPECT_EQ(*svc.VoteItems(failing_users[i]), votes_before[i]);
+  }
+  for (const RecordingSink::Record& rec : sink.records) {
+    if (rec.shard == failing) {
+      EXPECT_LE(rec.seq, seq_before);
+    }
+  }
 }
 
 }  // namespace
