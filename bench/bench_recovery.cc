@@ -104,8 +104,8 @@ class ScratchDir {
   std::string path_;
 };
 
-/// The bursty deterministic stream every phase shares (same generator as
-/// bench_realtime_throughput, run length 4).
+/// The bursty deterministic stream every phase shares: users in runs of
+/// 4 consecutive events, drawn in Knuth-hash order.
 std::vector<online::Engine::Event> MakeStream(const Config& cfg) {
   std::vector<online::Engine::Event> stream(cfg.interactions);
   for (size_t i = 0; i < cfg.interactions; ++i) {

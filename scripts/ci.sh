@@ -126,105 +126,11 @@ else
   echo "micro_kernels smoke: SKIPPED (Google Benchmark not found)"
 fi
 
-# Realtime ingest-throughput smoke (batch-first Engine over the sharded
-# RealTimeService, see docs/PERFORMANCE.md): one quick sweep over
-# {1,4} threads x {1,32}-event batches. Two sanity gates, neither a
-# tuned threshold:
-#   * threads: 4-thread updates/sec >= 1-thread (shard locking actually
-#     lets ingest run concurrently) — needs >= 4 hardware threads;
-#   * batching: batch_size=32 updates/sec >= batch_size=1 at one thread
-#     (grouped events amortize locks/re-inference/index refreshes, so
-#     batching must never lose) — skipped on single-core hosts, where
-#     timer noise on the tiny --quick workload dominates.
-RT_BENCH=build/release/bench/bench_realtime_throughput
-RT_JSON="${WORK}/realtime.json"
-"${RT_BENCH}" --quick --threads=1,4 --batch_sizes=1,32 \
-  --json="${RT_JSON}" >/dev/null
-rt_ups() {  # rt_ups <threads> <batch_size>
-  sed -n "s/.*\"threads\": $1, \"batch_size\": $2, \"updates_per_sec\": \([0-9.]*\).*/\1/p" \
-    "${RT_JSON}"
-}
-ups_1t="$(rt_ups 1 1)"
-ups_4t="$(rt_ups 4 1)"
-ups_b32="$(rt_ups 1 32)"
-CORES="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null \
-         || echo 1)"
-if [[ -z "${ups_1t}" || -z "${ups_4t}" || -z "${ups_b32}" ]]; then
-  echo "realtime throughput smoke: FAILED (no updates/sec in report)" >&2
-  exit 1
-fi
-if [[ "${CORES}" -lt 4 ]]; then
-  echo "realtime thread gate: SKIPPED (host has < 4 cores;" \
-       "1t=${ups_1t} 4t=${ups_4t} updates/sec)"
-elif awk -v a="${ups_4t}" -v b="${ups_1t}" 'BEGIN{exit !(a >= b)}'; then
-  echo "realtime thread gate: OK (4t ${ups_4t} >= 1t ${ups_1t}" \
-       "updates/sec)"
-else
-  echo "realtime thread gate: FAILED — 4-thread ingest (${ups_4t}/s)" \
-       "slower than 1-thread (${ups_1t}/s)" >&2
-  exit 1
-fi
-if [[ "${CORES}" -lt 2 ]]; then
-  echo "realtime batching gate: SKIPPED (single-core host;" \
-       "b1=${ups_1t} b32=${ups_b32} updates/sec)"
-elif awk -v a="${ups_b32}" -v b="${ups_1t}" 'BEGIN{exit !(a >= b)}'; then
-  echo "realtime batching gate: OK (batch32 ${ups_b32} >= batch1" \
-       "${ups_1t} updates/sec)"
-else
-  echo "realtime batching gate: FAILED — batched ingest (${ups_b32}/s)" \
-       "slower than per-event (${ups_1t}/s)" >&2
-  exit 1
-fi
-
-# Scenario smoke: the workload-generator dimension end to end
-# (docs/OPERATIONS.md, "Scenario specs"). Two gates:
-#   * bursty + power_law: cold-engine ingest updates/sec and batched
-#     streaming-eval events/sec must both be nonzero (the scenario
-#     corpora actually flow through the serving path and the
-#     reveal_window=32 evaluator makes predictions);
-#   * hot_shard: the adversarial all-ids-one-shard corpus must complete
-#     a 4-thread run within the timeout — contention on the single hot
-#     shard may serialize it, but must never stall it.
-# The per-scenario golden bands (fp32 + sq8) are tier-1 ctest cases
-# (sccf_golden_test), so the ctest run above already gated them.
-SCEN_JSON="${WORK}/scenario.json"
-"${RT_BENCH}" --quick --threads=1 --batch_sizes=32 --shards=8 \
-  --scenario=bursty,power_law --json="${SCEN_JSON}" >/dev/null
-scen_ingest_ups() {  # scen_ingest_ups <scenario>
-  sed -n "s/.*\"scenario\": \"$1\", \"threads\": 1, .*\"updates_per_sec\": \([0-9.]*\).*/\1/p" \
-    "${SCEN_JSON}"
-}
-scen_eval_eps() {  # scen_eval_eps <scenario>
-  sed -n "s/.*\"scenario\": \"$1\", \"reveal_window\": .*\"eval_events_per_sec\": \([0-9.]*\).*/\1/p" \
-    "${SCEN_JSON}"
-}
-for scen in bursty power_law; do
-  scen_ups="$(scen_ingest_ups "${scen}")"
-  scen_eps="$(scen_eval_eps "${scen}")"
-  if [[ -z "${scen_ups}" ]] ||
-     ! awk -v u="${scen_ups}" 'BEGIN{exit !(u > 0)}'; then
-    echo "scenario smoke: FAILED — ${scen} cold-engine ingest made no" \
-         "progress (updates_per_sec='${scen_ups}')" >&2
-    exit 1
-  fi
-  if [[ -z "${scen_eps}" ]] ||
-     ! awk -v e="${scen_eps}" 'BEGIN{exit !(e > 0)}'; then
-    echo "scenario smoke: FAILED — ${scen} batched streaming eval made" \
-         "no predictions (eval_events_per_sec='${scen_eps}')" >&2
-    exit 1
-  fi
-done
-if ! timeout 180 "${RT_BENCH}" --quick --threads=4 --batch_sizes=32 \
-     --shards=8 --scenario=hot_shard >/dev/null; then
-  echo "scenario smoke: FAILED — hot_shard adversarial corpus stalled" \
-       "or crashed a 4-thread ingest (180s budget)" >&2
-  exit 1
-fi
-echo "scenario smoke: OK (bursty/power_law flow, hot_shard completes)"
-
 # Shard stress under ThreadSanitizer: the per-shard shared_mutex
-# discipline is only really exercised with race detection on. Skip
-# gracefully where the toolchain has no -fsanitize=thread.
+# discipline is only really exercised with race detection on. The suite
+# includes concurrent cold-engine ingest of the bursty, power_law and
+# hot_shard scenario corpora (hot_shard puts every user on one shard).
+# Skip gracefully where the toolchain has no -fsanitize=thread.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=thread -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset tsan >/dev/null

@@ -1,7 +1,6 @@
 #include "online/streaming_eval.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 
@@ -172,7 +171,6 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
   // re-inference per touched user). reveal_window == 1 is exactly the
   // legacy event-at-a-time loop.
   std::vector<float> emb(d);
-  const auto wall_start = std::chrono::steady_clock::now();
   for (size_t begin = 0; begin < events.size();
        begin += options.reveal_window) {
     const size_t end =
@@ -237,14 +235,6 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
     }
     SCCF_RETURN_NOT_OK(engine.Ingest(reveal).status());
   }
-  result.eval_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-  result.events_per_sec =
-      result.eval_wall_ms > 0.0
-          ? result.num_predictions / (result.eval_wall_ms / 1000.0)
-          : 0.0;
 
   if (result.num_predictions > 0) {
     for (size_t c = 0; c < options.cutoffs.size(); ++c) {

@@ -71,11 +71,6 @@ struct StreamingEvalResult {
   std::vector<double> stale_query_ndcg;
   size_t num_predictions = 0;
 
-  /// Wall time of the predict/reveal loop and the resulting throughput
-  /// (tail events per second) — the Table V-style speed axis.
-  double eval_wall_ms = 0.0;
-  double events_per_sec = 0.0;
-
   double LiveNdcgAt(size_t k) const;
   double FrozenNdcgAt(size_t k) const;
   double StaleQueryNdcgAt(size_t k) const;

@@ -26,6 +26,7 @@
 #include "models/pop.h"
 #include "models/youtube_dnn.h"
 #include "nn/serialize.h"
+#include "scenario/scenario.h"
 
 namespace sccf {
 namespace {
@@ -535,6 +536,47 @@ TEST_F(ExtensionsTest, StreamingEvalRejectsZeroRevealWindow) {
   EXPECT_EQ(
       online::EvaluateStreamingUserBased(fism, *dataset_, bad).status().code(),
       StatusCode::kInvalidArgument);
+}
+
+// A batched reveal window predicts every tail event of every user long
+// enough to have a tail, including the last, partial window, on the
+// bursty and power_law regimes (sessions and heavy tails put several of
+// one user's events in one window).
+TEST(StreamingEvalScenarioTest, WindowedRevealPredictsEveryTailEvent) {
+  for (const char* generator : {"bursty", "power_law"}) {
+    SCOPED_TRACE(generator);
+    scenario::ScenarioSpec spec;
+    spec.generator = generator;
+    spec.num_users = 120;
+    spec.num_items = 160;
+    spec.events_per_user = 8;
+    spec.seed = 97;
+    auto source = scenario::MakeScenario(spec);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    auto ds = (*source)->Load();
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    data::LeaveOneOutSplit split(*ds);
+    models::Fism::Options fopts;
+    fopts.dim = 8;
+    fopts.epochs = 0;
+    models::Fism fism(fopts);
+    ASSERT_TRUE(fism.Fit(split).ok());
+
+    online::StreamingEvalOptions opts;
+    opts.tail_events = 2;
+    opts.cutoffs = {20};
+    opts.reveal_window = 32;
+    auto result = online::EvaluateStreamingUserBased(fism, *ds, opts);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    size_t tail_events = 0;
+    for (size_t u = 0; u < ds->num_users(); ++u) {
+      if (ds->sequence(u).size() >= 2 * opts.tail_events) {
+        tail_events += opts.tail_events;
+      }
+    }
+    EXPECT_GT(tail_events % opts.reveal_window, 0u);
+    EXPECT_EQ(result->num_predictions, tail_events);
+  }
 }
 
 // ------------------------------------------- profile-aware neighborhood

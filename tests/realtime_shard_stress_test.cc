@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "data/synthetic.h"
 #include "models/fism.h"
 #include "online/engine.h"
+#include "scenario/scenario.h"
 
 namespace sccf::core {
 namespace {
@@ -183,15 +188,83 @@ TEST_F(RealTimeShardStressTest, ConcurrentIngestMatchesSerialReplay) {
 // full state must match a serial per-event OnInteraction replay — the
 // batched write path, the buffer, and the buffer-merging query path all
 // under concurrency (the TSan run exercises the staged rows racing
-// readers).
-TEST_F(RealTimeShardStressTest, ConcurrentBatchedIngestMatchesSerialReplay) {
+// readers). Besides the bootstrapped split, it runs the bursty, power_law
+// and hot_shard scenario corpora through a cold engine (every user a cold
+// start), keyed by their original user ids: hot_shard's ids all hash to
+// one of the 8 shards, so there all 4 threads contend for one lock.
+class RealTimeShardStressCorpusTest
+    : public RealTimeShardStressTest,
+      public testing::WithParamInterface<const char*> {
+ protected:
+  using Event = RealTimeService::Event;
+
+  /// The corpus's events in global timestamp order, dealt to the threads
+  /// by user (dataset user u goes to thread u % kThreads).
+  static std::vector<std::vector<Event>> ScenarioPlans(
+      const data::Dataset& ds) {
+    std::vector<std::pair<size_t, Event>> stream;  // (thread, event)
+    for (size_t u = 0; u < ds.num_users(); ++u) {
+      for (size_t j = 0; j < ds.sequence(u).size(); ++j) {
+        stream.push_back({u % kThreads,
+                          {ds.original_user_ids()[u], ds.sequence(u)[j],
+                           ds.timestamps(u)[j]}});
+      }
+    }
+    std::stable_sort(stream.begin(), stream.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.second.ts < b.second.ts;
+                     });
+    std::vector<std::vector<Event>> plans(kThreads);
+    for (const auto& [t, e] : stream) plans[t].push_back(e);
+    return plans;
+  }
+};
+
+TEST_P(RealTimeShardStressCorpusTest,
+       ConcurrentBatchedIngestMatchesSerialReplay) {
+  const std::string corpus = GetParam();
+  const bool cold = corpus != "bootstrapped";
+  const models::Fism* model = fism_;
+  std::unique_ptr<models::Fism> cold_model;
+  std::vector<RealTimeService::UserState> bootstrap;
+  std::vector<std::vector<Event>> plans(kThreads);
+  if (cold) {
+    scenario::ScenarioSpec spec;
+    spec.generator = corpus;
+    spec.num_users = 200;
+    spec.num_items = 200;
+    spec.events_per_user = 12;
+    spec.seed = 97;
+    if (corpus == "hot_shard") spec.params["shards"] = "8";
+    auto source = scenario::MakeScenario(spec);
+    ASSERT_TRUE(source.ok()) << source.status().ToString();
+    auto ds = (*source)->Load();
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    data::LeaveOneOutSplit split(*ds);
+    models::Fism::Options fopts;
+    fopts.dim = 16;
+    fopts.epochs = 0;  // untrained embeddings are distinct enough
+    cold_model = std::make_unique<models::Fism>(fopts);
+    ASSERT_TRUE(cold_model->Fit(split).ok());
+    model = cold_model.get();
+    plans = ScenarioPlans(*ds);
+  } else {
+    for (size_t u = 0; u < split_->num_users(); ++u) {
+      const auto h = split_->TrainSequence(u);
+      bootstrap.push_back({static_cast<int>(u), {h.begin(), h.end()}});
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      int64_t ts = 0;
+      for (const auto& [user, item] : PlanForThread(t)) {
+        plans[t].push_back({user, item, ts++});
+      }
+    }
+  }
+
   online::Engine::Options opts = ShardedOptions(IndexKind::kBruteForce);
   opts.compaction_threshold = 16;
-  online::Engine engine(*fism_, opts);
-  ASSERT_TRUE(engine.BootstrapFromSplit(*split_).ok());
-
-  std::vector<std::vector<std::pair<int, int>>> plans;
-  for (int t = 0; t < kThreads; ++t) plans.push_back(PlanForThread(t));
+  online::Engine engine(*model, opts);
+  ASSERT_TRUE(engine.Bootstrap(bootstrap).ok());
 
   constexpr size_t kBatchSize = 13;  // deliberately not a threshold divisor
   std::atomic<int> failures{0};
@@ -200,8 +273,7 @@ TEST_F(RealTimeShardStressTest, ConcurrentBatchedIngestMatchesSerialReplay) {
     workers.emplace_back([&, t] {
       online::Engine::IngestRequest req;
       for (size_t i = 0; i < plans[t].size(); ++i) {
-        const auto& [user, item] = plans[t][i];
-        req.events.push_back({user, item, static_cast<int64_t>(i)});
+        req.events.push_back(plans[t][i]);
         if (req.events.size() == kBatchSize || i + 1 == plans[t].size()) {
           auto resp = engine.Ingest(req);
           if (!resp.ok() || resp->num_events != req.events.size()) {
@@ -209,9 +281,12 @@ TEST_F(RealTimeShardStressTest, ConcurrentBatchedIngestMatchesSerialReplay) {
           }
           req.events.clear();
           // Interleave reads so the buffer-merging fan-out races other
-          // threads' staged ingest.
-          auto nbrs = engine.Neighbors({user, std::nullopt});
-          if (!nbrs.ok() || nbrs->neighbors.empty()) failures.fetch_add(1);
+          // threads' staged ingest. A cold engine may not yet hold
+          // anyone but this user.
+          auto nbrs = engine.Neighbors({plans[t][i].user, std::nullopt});
+          if (!nbrs.ok() || (!cold && nbrs->neighbors.empty())) {
+            failures.fetch_add(1);
+          }
         }
       }
     });
@@ -220,22 +295,25 @@ TEST_F(RealTimeShardStressTest, ConcurrentBatchedIngestMatchesSerialReplay) {
   ASSERT_EQ(failures.load(), 0);
   ASSERT_TRUE(engine.Compact().ok());
   ASSERT_EQ(engine.pending_upserts(), 0u);
+  if (corpus == "hot_shard") {
+    size_t occupied = 0;
+    for (const auto& s : engine.ShardStats()) occupied += s.users > 0;
+    EXPECT_EQ(occupied, 1u);
+  }
 
-  RealTimeService serial(*fism_, ShardedOptions(IndexKind::kBruteForce));
-  ASSERT_TRUE(serial.BootstrapFromSplit(*split_).ok());
+  RealTimeService serial(*model, ShardedOptions(IndexKind::kBruteForce));
+  ASSERT_TRUE(serial.Bootstrap(bootstrap).ok());
+  std::set<int> all_users;
+  for (const auto& state : bootstrap) all_users.insert(state.user);
   for (const auto& plan : plans) {
-    for (const auto& [user, item] : plan) {
-      ASSERT_TRUE(serial.OnInteraction(user, item).ok());
+    for (const Event& e : plan) {
+      ASSERT_TRUE(serial.OnInteraction(e.user, e.item).ok());
+      all_users.insert(e.user);
     }
   }
 
   ASSERT_EQ(engine.num_users(), serial.num_users());
-  std::vector<int> all_users;
-  for (int u = 0; u < static_cast<int>(split_->num_users()); ++u) {
-    all_users.push_back(u);
-  }
-  for (int t = 0; t < kThreads; ++t) all_users.push_back(2000 + t);
-
+  ASSERT_EQ(serial.num_users(), all_users.size());
   for (int user : all_users) {
     auto h_conc = engine.History({user});
     auto h_ser = serial.History(user);
@@ -265,6 +343,13 @@ TEST_F(RealTimeShardStressTest, ConcurrentBatchedIngestMatchesSerialReplay) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Corpora, RealTimeShardStressCorpusTest,
+                         testing::Values("bootstrapped", "bursty",
+                                         "power_law", "hot_shard"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 // Cold-shard wall-clock compaction: rows staged behind an unreachable
 // count threshold must reach the backend index with NO further ingest
@@ -470,7 +555,9 @@ TEST_F(RealTimeShardStressTest, HnswTombstonesBoundedUnderConcurrentChurn) {
                 static_cast<double>(s.tombstones) < ratio * nodes)
         << "shard tombstones=" << s.tombstones << " nodes=" << nodes;
     EXPECT_EQ(s.embedding_bytes, 0u);  // sq8: codes only
-    if (s.index_rows > 0) EXPECT_GT(s.code_bytes, 0u);
+    if (s.index_rows > 0) {
+      EXPECT_GT(s.code_bytes, 0u);
+    }
   }
   EXPECT_EQ(total_rows, split_->num_users() + kThreads);
   EXPECT_EQ(engine.Stats().tombstones,

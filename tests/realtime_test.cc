@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/realtime.h"
@@ -353,6 +358,122 @@ class RecordingSink : public IngestSink {
   std::vector<Record> records;
   size_t fail_shard = SIZE_MAX;
 };
+
+/// Holds shard 0's append until `release` is set; other shards pass.
+class BlockingSink : public IngestSink {
+ public:
+  Status Append(size_t shard, uint64_t,
+                std::span<const RealTimeService::Event>) override {
+    if (shard == 0) {
+      entered.set_value();
+      released.wait();
+    }
+    return Status::OK();
+  }
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+};
+
+/// Forwards to a fitted model and counts InferUserEmbedding calls.
+class CountingModel : public models::InductiveUiModel {
+ public:
+  explicit CountingModel(const models::InductiveUiModel& inner)
+      : inner_(&inner) {}
+  std::string name() const override { return inner_->name(); }
+  Status Fit(const data::LeaveOneOutSplit&) override { return Status::OK(); }
+  size_t embedding_dim() const override { return inner_->embedding_dim(); }
+  void InferUserEmbedding(std::span<const int> history,
+                          float* out) const override {
+    infer_calls.fetch_add(1, std::memory_order_relaxed);
+    inner_->InferUserEmbedding(history, out);
+  }
+  const float* ItemEmbedding(int item) const override {
+    return inner_->ItemEmbedding(item);
+  }
+  size_t num_items() const override { return inner_->num_items(); }
+
+  mutable std::atomic<size_t> infer_calls{0};
+
+ private:
+  const models::InductiveUiModel* inner_;
+};
+
+// Shards ingest independently: while one ingest holds shard 0's write
+// lock (its journal append is parked), an ingest on shard 1 completes.
+// A lock shared across shards would park it too; the wait is bounded so
+// that fails the test instead of hanging it.
+TEST_F(RealTimeTest, IngestOnOneShardDoesNotWaitForAnother) {
+  RealTimeService::Options opts;
+  opts.beta = 10;
+  opts.num_shards = 4;
+  RealTimeService svc(*fism_, opts);
+  ASSERT_TRUE(svc.BootstrapFromSplit(*split_).ok());
+  int on_shard[2] = {-1, -1};
+  for (int u = 0; on_shard[0] < 0 || on_shard[1] < 0; ++u) {
+    const size_t s = svc.ShardOf(u);
+    if (s < 2 && on_shard[s] < 0) on_shard[s] = u;
+  }
+  BlockingSink sink;
+  svc.set_ingest_sink(&sink);
+
+  auto blocked = std::async(std::launch::async, [&] {
+    return svc.OnInteraction(on_shard[0], 1).status();
+  });
+  const std::chrono::seconds kGenerous(30);
+  EXPECT_EQ(sink.entered.get_future().wait_for(kGenerous),
+            std::future_status::ready);
+  const RealTimeService::Event other{on_shard[1], 2, 0};
+  auto independent = std::async(std::launch::async, [&] {
+    return svc.OnInteractionBatch(std::span(&other, 1), /*identify=*/false)
+        .status();
+  });
+  const bool finished =
+      independent.wait_for(kGenerous) == std::future_status::ready;
+  sink.release.set_value();
+  EXPECT_TRUE(finished) << "shard 1 ingest waited for shard 0's lock";
+  EXPECT_TRUE(independent.get().ok());
+  EXPECT_TRUE(blocked.get().ok());
+  EXPECT_EQ(svc.History(on_shard[1])->back(), 2);
+  EXPECT_EQ(svc.History(on_shard[0])->back(), 1);
+}
+
+// Batching coalesces the per-user work: one 32-event batch of 8 users x
+// 4-event runs re-infers each user once and journals each touched shard
+// once; the same events sent one at a time pay one of each per event.
+TEST_F(RealTimeTest, BatchInfersOncePerUserAndJournalsOncePerShard) {
+  CountingModel model(*fism_);
+  RealTimeService::Options opts;
+  opts.beta = 10;
+  opts.num_shards = 4;
+  const int num_items = static_cast<int>(dataset_->num_items());
+  std::vector<RealTimeService::Event> batch;
+  for (int u = 0; u < 8; ++u) {
+    for (int step = 0; step < 4; ++step) {
+      batch.push_back({u, (u * 11 + step) % num_items, step});
+    }
+  }
+  for (const bool one_at_a_time : {false, true}) {
+    SCOPED_TRACE(one_at_a_time ? "one at a time" : "one batch");
+    RealTimeService svc(model, opts);
+    ASSERT_TRUE(svc.BootstrapFromSplit(*split_).ok());
+    RecordingSink sink;
+    svc.set_ingest_sink(&sink);
+    std::set<size_t> shards;
+    for (const auto& e : batch) shards.insert(svc.ShardOf(e.user));
+    ASSERT_GE(shards.size(), 2u);
+    model.infer_calls = 0;
+    if (one_at_a_time) {
+      for (const auto& e : batch) {
+        ASSERT_TRUE(svc.OnInteractionBatch(std::span(&e, 1)).ok());
+      }
+    } else {
+      ASSERT_TRUE(svc.OnInteractionBatch(batch).ok());
+    }
+    EXPECT_EQ(model.infer_calls.load(), one_at_a_time ? 32u : 8u);
+    EXPECT_EQ(sink.records.size(), one_at_a_time ? 32u : shards.size());
+  }
+}
 
 // The ordering one ingest batch promises: each shard's journal record holds
 // exactly that shard's events in batch order, under the shard's previous
