@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-# Scratch files for the smokes below, removed on any exit.
+# Scratch files for the smoke below, removed on any exit.
 WORK="$(mktemp -d)"
 trap 'rm -rf "${WORK}"' EXIT
 
@@ -53,8 +53,11 @@ python3 perfbench/run.py --selftest
 echo "perfbench selftest: OK"
 
 # Benchmark smoke: the micro-kernel suite at minimal iteration budget,
-# to catch crashes/regressions in bench-only code paths. The target is
-# skipped at configure time when Google Benchmark is unavailable.
+# to catch crashes in bench-only code paths. SIMD dispatch is checked by
+# simd_kernels_test (auto-dispatch must pick the widest supported
+# variant); perfbench's simd.dot_batch_ns_per_row.* carries the timing.
+# The target is skipped at configure time when Google Benchmark is
+# unavailable.
 MICRO=build/release/bench/micro_kernels
 if [[ -x "${MICRO}" ]]; then
   # benchmark >= 1.8 wants a "0.01s" suffix, older versions a bare double.
@@ -68,60 +71,6 @@ if [[ -x "${MICRO}" ]]; then
     exit 1
   fi
   echo "micro_kernels smoke: OK"
-
-  # SIMD dispatch sanity (docs/PERFORMANCE.md): run the kernel report once
-  # forced to scalar and once auto-dispatched; the dispatched dot kernel at
-  # dim 128 must not be slower than the scalar one. Smoke-level only — the
-  # real margin is ~3-4x — so a genuine dispatch regression (e.g. always
-  # falling back to scalar-through-the-table overhead) trips it, noise
-  # does not. Skipped when the CPU has no SIMD variant to dispatch to.
-  SIMD_SCALAR_JSON="${WORK}/simd_scalar.json"
-  SIMD_AUTO_JSON="${WORK}/simd_auto.json"
-  SCCF_SIMD=scalar "${MICRO}" --simd_json="${SIMD_SCALAR_JSON}" >/dev/null
-  # env -u: a stray exported SCCF_SIMD must not turn the "auto" run into a
-  # forced one (which would silently skip the comparison below).
-  env -u SCCF_SIMD "${MICRO}" --simd_json="${SIMD_AUTO_JSON}" >/dev/null
-  scalar_ns="$(sed -n 's/.*"active_dot_dim128_ns": \([0-9.]*\).*/\1/p' \
-    "${SIMD_SCALAR_JSON}")"
-  auto_ns="$(sed -n 's/.*"active_dot_dim128_ns": \([0-9.]*\).*/\1/p' \
-    "${SIMD_AUTO_JSON}")"
-  auto_variant="$(sed -n 's/.*"active_variant": "\([a-z0-9]*\)".*/\1/p' \
-    "${SIMD_AUTO_JSON}")"
-  if [[ "${auto_variant}" == "scalar" ]]; then
-    echo "simd dispatch check: SKIPPED (no SIMD variant on this CPU)"
-  elif awk -v a="${auto_ns}" -v s="${scalar_ns}" 'BEGIN{exit !(a <= s)}'; then
-    echo "simd dispatch check: OK (${auto_variant} dot@128 ${auto_ns}ns" \
-         "<= scalar ${scalar_ns}ns)"
-  else
-    echo "simd dispatch check: FAILED — dispatched ${auto_variant} dot@128" \
-         "(${auto_ns}ns) slower than scalar (${scalar_ns}ns)" >&2
-    exit 1
-  fi
-
-  # Same gate for the int8 dot kernel the SQ8 storage mode scans with:
-  # the dispatched variant must not lose to forced-scalar at dim 128.
-  scalar_i8_ns="$(sed -n \
-    's/.*"active_dot_i8_dim128_ns": \([0-9.]*\).*/\1/p' \
-    "${SIMD_SCALAR_JSON}")"
-  auto_i8_ns="$(sed -n \
-    's/.*"active_dot_i8_dim128_ns": \([0-9.]*\).*/\1/p' \
-    "${SIMD_AUTO_JSON}")"
-  if [[ "${auto_variant}" == "scalar" ]]; then
-    echo "simd i8 dispatch check: SKIPPED (no SIMD variant on this CPU)"
-  elif [[ -z "${scalar_i8_ns}" || -z "${auto_i8_ns}" ]]; then
-    echo "simd i8 dispatch check: FAILED — no active_dot_i8_dim128_ns in" \
-         "the kernel report" >&2
-    exit 1
-  elif awk -v a="${auto_i8_ns}" -v s="${scalar_i8_ns}" \
-         'BEGIN{exit !(a <= s)}'; then
-    echo "simd i8 dispatch check: OK (${auto_variant} dot_i8@128" \
-         "${auto_i8_ns}ns <= scalar ${scalar_i8_ns}ns)"
-  else
-    echo "simd i8 dispatch check: FAILED — dispatched ${auto_variant}" \
-         "dot_i8@128 (${auto_i8_ns}ns) slower than scalar" \
-         "(${scalar_i8_ns}ns)" >&2
-    exit 1
-  fi
 else
   echo "micro_kernels smoke: SKIPPED (Google Benchmark not found)"
 fi
@@ -151,12 +100,14 @@ fi
 # keep it, so an off-by-one there is a heap overflow only ASan sees.
 # engine_test and realtime_test drive the ingest path, which slices each
 # shard's events as a span out of one regrouped copy of the batch.
+# core_test drives the Eq. 12 vote tally, which indexes per-item arrays
+# by item ids read from histories.
 # Skip gracefully where the toolchain has no -fsanitize=address.
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
-  ASAN_TARGETS=(persist_test index_test engine_test realtime_test
-                recovery_test)
+  ASAN_TARGETS=(persist_test index_test core_test engine_test
+                realtime_test recovery_test)
   # The server suites are crash-labeled too, but Linux-only (epoll) —
   # build them where the release daemon built: the syscall
   # fault-injection suite (EINTR storms, short writes, EMFILE, ENOSPC
@@ -168,6 +119,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null
   ./build/asan/tests/index_test >/dev/null
+  ./build/asan/tests/core_test >/dev/null
   ./build/asan/tests/engine_test >/dev/null
   ./build/asan/tests/realtime_test >/dev/null
   ctest --preset asan -L crash

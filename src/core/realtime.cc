@@ -66,7 +66,6 @@ Status RealTimeService::BuildShard(
     if (!s.history.empty()) {
       InferRecent(*model_, s.history, options_.infer_window,
                   embeddings.data() + i * d);
-      shard->vote_items[s.user] = VoteList(s.history, options_.vote_window);
     }
     shard->histories[s.user] = s.history;
   }
@@ -335,7 +334,6 @@ StatusOr<size_t> RealTimeService::ApplyGroupLocked(
       }
     }
     tu.timing.index_ms = index_clock.ElapsedMillis();
-    shard.vote_items[tu.user] = VoteList(history, options_.vote_window);
   }
   return created_users;
 }
@@ -473,17 +471,17 @@ StatusOr<CandidateList> RealTimeService::RecommendUserBased(
   }
   SCCF_ASSIGN_OR_RETURN(std::vector<index::Neighbor> neighbors,
                         Neighbors(user, beta));
-  std::vector<float> scores(model_->num_items(), 0.0f);
   // Accumulate in merged-neighbor order (identical float addition order
-  // to the single-index implementation), taking the owning shard's read
-  // lock per neighbor.
+  // to the single-index implementation), reading each neighbor's history
+  // under the owning shard's read lock.
+  VoteTally tally(model_->num_items(), options_.vote_window);
   for (const index::Neighbor& nb : neighbors) {
     const Shard& shard = *shards_[ShardIndex(nb.id, shards_.size())];
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    auto vi = shard.vote_items.find(nb.id);
-    if (vi == shard.vote_items.end()) continue;
-    for (int item : vi->second) scores[item] += nb.score;
+    auto hist = shard.histories.find(nb.id);
+    if (hist != shard.histories.end()) tally.Add(hist->second, nb.score);
   }
+  std::vector<float>& scores = tally.scores();
   if (exclude_seen) {
     const Shard& shard = *shards_[ShardIndex(user, shards_.size())];
     std::shared_lock<std::shared_mutex> lock(shard.mu);
@@ -493,20 +491,6 @@ StatusOr<CandidateList> RealTimeService::RecommendUserBased(
     }
   }
   return TopNFromScores(scores, n, 0.0f);
-}
-
-StatusOr<std::vector<int>> RealTimeService::VoteItems(int user) const {
-  if (!bootstrapped_) {
-    return Status::FailedPrecondition("Bootstrap must run first");
-  }
-  const Shard& shard = *shards_[ShardIndex(user, shards_.size())];
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.vote_items.find(user);
-  if (it == shard.vote_items.end()) {
-    return Status::NotFound("user " + std::to_string(user) +
-                            " has no votes");
-  }
-  return it->second;  // copies under the lock
 }
 
 StatusOr<std::vector<int>> RealTimeService::History(int user) const {
@@ -541,7 +525,6 @@ namespace {
 /// Shard payload framing shared by ExportShard/RestoreShard:
 ///   u64 journal_seq
 ///   u64 num_history_users | per user: i32 user | u64 len | i32 item x len
-///   u64 num_vote_users    | per user: i32 user | u64 len | i32 item x len
 ///   u64-length-prefixed index blob (VectorIndex::SerializeTo)
 ///   u64 num_pending       | per row: i32 user | f32 x dim
 void PutIntListMap(std::string* out,
@@ -605,7 +588,6 @@ Status RealTimeService::ExportShard(size_t s, std::string* out) const {
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   PutFixed64(out, shard.journal_seq);
   PutIntListMap(out, shard.histories);
-  PutIntListMap(out, shard.vote_items);
   std::string index_blob;
   shard.index->SerializeTo(&index_blob);
   PutLengthPrefixed(out, index_blob);
@@ -631,11 +613,8 @@ Status RealTimeService::RestoreShard(size_t s, std::string_view payload) {
   uint64_t journal_seq = 0;
   SCCF_RETURN_NOT_OK(reader.ReadFixed64(&journal_seq));
   std::unordered_map<int, std::vector<int>> histories;
-  std::unordered_map<int, std::vector<int>> vote_items;
   SCCF_RETURN_NOT_OK(ReadIntListMap(&reader, s, shards_.size(),
                                     model_->num_items(), &histories));
-  SCCF_RETURN_NOT_OK(ReadIntListMap(&reader, s, shards_.size(),
-                                    model_->num_items(), &vote_items));
 
   std::string_view index_blob;
   SCCF_RETURN_NOT_OK(reader.ReadLengthPrefixed(&index_blob));
@@ -670,7 +649,6 @@ Status RealTimeService::RestoreShard(size_t s, std::string_view payload) {
   Shard& shard = *shards_[s];
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   shard.histories = std::move(histories);
-  shard.vote_items = std::move(vote_items);
   shard.index = std::move(index);
   const bool has_pending = !pending->empty();
   shard.pending = std::move(pending);

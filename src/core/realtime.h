@@ -32,7 +32,7 @@ class IngestSink;
 /// user-based baselines.
 ///
 /// Scale-out design: users are hash-partitioned across `num_shards`
-/// shards. Each shard owns its own VectorIndex, history/vote maps, and a
+/// shards. Each shard owns its own VectorIndex, history map, and a
 /// std::shared_mutex, so concurrent OnInteraction calls for users in
 /// different shards never contend. Queries (Neighbors /
 /// RecommendUserBased) fan a per-shard top-k search out under shared
@@ -279,18 +279,16 @@ class RealTimeService {
   StatusOr<std::vector<index::Neighbor>> Neighbors(int user,
                                                    size_t beta = 0) const;
 
-  /// Eq. 12 user-based candidate list from the current snapshot.
-  /// `n` must be positive (InvalidArgument otherwise); `beta` 0 uses
-  /// Options::beta. With `exclude_seen` false the user's own history is
-  /// not masked out of the list. Thread-safe (read locks only).
+  /// Eq. 12 user-based candidate list from the current snapshot: each
+  /// neighbor votes, with its similarity, for the distinct items among
+  /// the last vote_window items of its history, read under its shard's
+  /// read lock. `n` must be positive (InvalidArgument otherwise); `beta`
+  /// 0 uses Options::beta. With `exclude_seen` false the user's own
+  /// history is not masked out of the list. Thread-safe (read locks
+  /// only).
   StatusOr<CandidateList> RecommendUserBased(int user, size_t n,
                                              size_t beta = 0,
                                              bool exclude_seen = true) const;
-
-  /// Snapshot copy of the items user `user` currently contributes as
-  /// votes (the vote_window tail of their history, deduplicated).
-  /// NotFound for users with no votes yet. Thread-safe.
-  StatusOr<std::vector<int>> VoteItems(int user) const;
 
   /// Snapshot copy of the user's history. NotFound for unknown users,
   /// FailedPrecondition before Bootstrap. (Returning by value is the
@@ -316,7 +314,7 @@ class RealTimeService {
   void set_ingest_sink(IngestSink* sink) { sink_ = sink; }
 
   /// Appends shard `s`'s complete serialized state to `*out` — histories,
-  /// vote lists, the backend index blob (bit-exact, see
+  /// the backend index blob (bit-exact, see
   /// VectorIndex::SerializeTo), staged-but-undrained upserts, and the
   /// shard's journal sequence number — all read under one shared-lock
   /// hold, so the payload is a consistent point-in-time cut: it reflects
@@ -337,7 +335,7 @@ class RealTimeService {
   /// carry exactly seq+1 (a gap means journal corruption -> IoError).
   /// The record is the span OnInteractionBatch journaled for one shard
   /// group, and it goes through the same per-shard apply routine —
-  /// histories, vote lists, embedding refresh, index staging — without
+  /// histories, embedding refresh, index staging — without
   /// re-journaling and without the identify fan-out (identify never
   /// mutates state), so a snapshot + replayed tail is bit-identical to
   /// the uninterrupted run. Pre: Bootstrap has run; no concurrent use.
@@ -393,7 +391,6 @@ class RealTimeService {
     /// is atomic (a stale read only defers or wastes one drain attempt).
     mutable std::atomic<int64_t> staged_since_ns{0};
     std::unordered_map<int, std::vector<int>> histories;
-    std::unordered_map<int, std::vector<int>> vote_items;
     /// Monotonic per-shard ingest sequence number, guarded by `mu`.
     /// Incremented once per applied batch group (after a successful sink
     /// append, when a sink is attached); snapshots embed it and journal
@@ -401,9 +398,9 @@ class RealTimeService {
     uint64_t journal_seq = 0;
   };
 
-  /// Builds one shard's maps and index from its bootstrap users. Runs on
-  /// the global pool; touches only `shard` (no locking needed before the
-  /// service is published).
+  /// Builds one shard's history map and index from its bootstrap users.
+  /// Runs on the global pool; touches only `shard` (no locking needed
+  /// before the service is published).
   Status BuildShard(Shard* shard,
                     const std::vector<const UserState*>& users) const;
   /// One user a shard group touched (see ApplyGroupLocked).
@@ -417,10 +414,10 @@ class RealTimeService {
   /// `shard.mu` is held exclusively and every event of `group` belongs
   /// to `shard`. Appends each event to its user's history (cold start
   /// creates the user), then refreshes each touched user once, from the
-  /// final history, in first-touch order: re-infers the embedding, writes
-  /// it through or stages it per compaction_threshold, and snapshots the
-  /// vote list. Appends the touched users to `*touched`; returns how many
-  /// users the group created.
+  /// final history, in first-touch order: re-infers the embedding and
+  /// writes it through or stages it per compaction_threshold. Appends
+  /// the touched users to `*touched`; returns how many users the group
+  /// created.
   StatusOr<size_t> ApplyGroupLocked(Shard& shard,
                                     std::span<const Event> group,
                                     std::vector<TouchedUser>* touched);

@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <numeric>
 
-#include "simd/kernels.h"
 #include "util/logging.h"
 
 namespace sccf::core {
+
+namespace {
+
+/// The last `window` items of `history` (all of them when `window` is 0).
+std::span<const int> RecentItems(std::span<const int> history,
+                                 size_t window) {
+  return window == 0 ? history
+                     : history.last(std::min(history.size(), window));
+}
+
+}  // namespace
 
 StatusOr<std::unique_ptr<index::VectorIndex>> BuildIndex(
     IndexKind kind, index::Metric metric, quant::Storage storage,
@@ -43,18 +53,19 @@ StatusOr<std::unique_ptr<index::VectorIndex>> BuildIndex(
 
 void InferRecent(const models::InductiveUiModel& model,
                  std::span<const int> history, size_t window, float* out) {
-  const size_t take =
-      window == 0 ? history.size() : std::min(history.size(), window);
-  model.InferUserEmbedding(history.last(take), out);
+  model.InferUserEmbedding(RecentItems(history, window), out);
 }
 
-std::vector<int> VoteList(std::span<const int> history, size_t window) {
-  const size_t take =
-      window == 0 ? history.size() : std::min(history.size(), window);
-  std::vector<int> votes(history.end() - take, history.end());
-  std::sort(votes.begin(), votes.end());
-  votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-  return votes;
+VoteTally::VoteTally(size_t num_items, size_t window)
+    : window_(window), last_voter_(num_items, 0), scores_(num_items, 0.0f) {}
+
+void VoteTally::Add(std::span<const int> history, float weight) {
+  ++voter_;
+  for (int item : RecentItems(history, window_)) {
+    if (last_voter_[item] == voter_) continue;
+    last_voter_[item] = voter_;
+    scores_[item] += weight;
+  }
 }
 
 UserBasedComponent::UserBasedComponent(const models::InductiveUiModel& base,
@@ -71,7 +82,7 @@ Status UserBasedComponent::Fit(const data::LeaveOneOutSplit& split) {
   const size_t n = split.num_users();
   const size_t d = base_->embedding_dim();
   num_items_ = split.dataset().num_items();
-  vote_items_.assign(n, {});
+  recent_items_.assign(n, {});
 
   // Infer all user embeddings (parallel-safe: base inference is const).
   std::vector<float> embeddings(n * d, 0.0f);
@@ -82,7 +93,9 @@ Status UserBasedComponent::Fit(const data::LeaveOneOutSplit& split) {
     if (history.empty()) continue;
     InferRecent(*base_, history, options_.infer_window,
                 embeddings.data() + u * d);
-    vote_items_[u] = VoteList(history, options_.vote_window);
+    const std::span<const int> recent =
+        RecentItems(history, options_.vote_window);
+    recent_items_[u].assign(recent.begin(), recent.end());
   }
   std::vector<int> ids(n);
   std::iota(ids.begin(), ids.end(), 0);
@@ -111,33 +124,14 @@ void UserBasedComponent::ScoreAll(size_t u, std::span<const int> history,
   const std::vector<index::Neighbor> neighborhood =
       Neighbors(query.data(), options_.beta, static_cast<int>(u));
 
-  // Eq. 12: r^UU_ui = sum_{v in N_u} delta_vi * sim(u, v). Each
-  // neighbor's vote list is sorted+unique (built in Fit/UpdateUser), which
-  // is exactly the precondition simd::ScatterAddConstant needs.
+  // Eq. 12: r^UU_ui = sum_{v in N_u} delta_vi * sim(u, v).
+  VoteTally tally(num_items_, options_.vote_window);
   for (const index::Neighbor& nb : neighborhood) {
-    const std::vector<int>& votes = vote_items_[nb.id];
-    simd::ScatterAddConstant(scores->data(), votes.data(), votes.size(),
-                             nb.score);
+    tally.Add(recent_items_[nb.id], nb.score);
   }
+  *scores = std::move(tally.scores());
   // Never recommend the user's own history (Sec. III-C).
   for (int item : history) (*scores)[item] = 0.0f;
-}
-
-Status UserBasedComponent::UpdateUser(int u, std::span<const int> history) {
-  if (index_ == nullptr) {
-    return Status::FailedPrecondition("Fit must be called first");
-  }
-  if (u < 0) return Status::InvalidArgument("user id must be >= 0");
-  const size_t d = base_->embedding_dim();
-  std::vector<float> emb(d, 0.0f);
-  InferRecent(*base_, history, options_.infer_window, emb.data());
-  SCCF_RETURN_NOT_OK(index_->Add(u, emb.data()));
-
-  if (static_cast<size_t>(u) >= vote_items_.size()) {
-    vote_items_.resize(u + 1);
-  }
-  vote_items_[u] = VoteList(history, options_.vote_window);
-  return Status::OK();
 }
 
 }  // namespace sccf::core

@@ -2,6 +2,7 @@
 #define SCCF_CORE_USER_BASED_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -34,9 +35,27 @@ StatusOr<std::unique_ptr<index::VectorIndex>> BuildIndex(
 void InferRecent(const models::InductiveUiModel& model,
                  std::span<const int> history, size_t window, float* out);
 
-/// The items a user votes for in Eq. 12: the last `window` items of
-/// `history` (all of them when `window` is 0), sorted and deduplicated.
-std::vector<int> VoteList(std::span<const int> history, size_t window);
+/// Eq. 12 accumulator: scores()[i] sums the weight of every added
+/// neighbor that holds item i among the last `window` items of its
+/// history (all of them when `window` is 0). An item repeated inside that
+/// window counts once, and each item's sum takes its terms in Add order.
+class VoteTally {
+ public:
+  VoteTally(size_t num_items, size_t window);
+
+  /// Adds one neighbor's votes. Pre: every item of `history` is below
+  /// num_items.
+  void Add(std::span<const int> history, float weight);
+
+  std::vector<float>& scores() { return scores_; }
+
+ private:
+  size_t window_;
+  uint32_t voter_ = 0;  ///< Add calls so far
+  /// Per item, the Add call that last counted it (the dedup stamp).
+  std::vector<uint32_t> last_voter_;
+  std::vector<float> scores_;
+};
 
 /// The SCCF user-based component (paper Sec. III-C).
 ///
@@ -74,8 +93,8 @@ class UserBasedComponent : public models::Recommender {
 
   std::string name() const override { return base_->name() + "-UU"; }
 
-  /// Infers every user's embedding, builds the index, and snapshots each
-  /// user's recent vote items.
+  /// Infers every user's embedding, builds the index, and keeps each
+  /// user's last vote_window items for the Eq. 12 votes.
   Status Fit(const data::LeaveOneOutSplit& split) override;
 
   /// Eq. 11 neighborhood of an arbitrary query embedding.
@@ -88,26 +107,18 @@ class UserBasedComponent : public models::Recommender {
   void ScoreAll(size_t u, std::span<const int> history,
                 std::vector<float>* scores) const override;
 
-  /// Re-infers user `u` from `history` and updates the index and vote
-  /// snapshot — the streaming path of the real-time service.
-  Status UpdateUser(int u, std::span<const int> history);
-
   const index::VectorIndex& index() const { return *index_; }
   const models::InductiveUiModel& base() const { return *base_; }
   const Options& options() const { return options_; }
   size_t num_items() const { return num_items_; }
-
-  /// Items user `v` contributes votes for (diagnostics).
-  const std::vector<int>& vote_items(size_t v) const {
-    return vote_items_[v];
-  }
 
  private:
   const models::InductiveUiModel* base_;
   Options options_;
   size_t num_items_ = 0;
   std::unique_ptr<index::VectorIndex> index_;
-  std::vector<std::vector<int>> vote_items_;
+  /// Per fitted user, the last vote_window items of its history.
+  std::vector<std::vector<int>> recent_items_;
 };
 
 }  // namespace sccf::core

@@ -306,7 +306,7 @@ class Engine {
     return service_.ShardStatsSnapshot();
   }
 
-  /// The wrapped service, for diagnostics (shard topology, vote lists)
+  /// The wrapped service, for diagnostics (shard topology, shard stats)
   /// and tests. Serving traffic should use the typed API above.
   const core::RealTimeService& service() const { return service_; }
   core::RealTimeService& service() { return service_; }

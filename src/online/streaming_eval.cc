@@ -11,34 +11,15 @@ namespace sccf::online {
 
 namespace {
 
-// Rank of `target` among vote scores; history masked to 0 votes.
+// Rank of `target` among the Eq. 12 vote scores of `neighbors`, whose
+// histories `history_of(id)` returns; `history` is masked to 0 votes.
+template <typename HistoryOf>
 size_t RankByVotes(const std::vector<index::Neighbor>& neighbors,
-                   const std::vector<std::vector<int>>& vote_items,
-                   std::span<const int> history, int target,
-                   size_t num_items) {
-  std::vector<float> scores(num_items, 0.0f);
-  for (const auto& nb : neighbors) {
-    for (int item : vote_items[nb.id]) scores[item] += nb.score;
-  }
-  for (int item : history) scores[item] = 0.0f;
-  const float t = scores[target];
-  size_t better = 0;
-  for (float s : scores) better += s > t;
-  return better + 1;
-}
-
-// Live-regime variant: neighbors' current vote lists come from the
-// serving engine's state instead of a local snapshot.
-size_t RankByVotesLive(const std::vector<index::Neighbor>& neighbors,
-                       const core::RealTimeService& service,
-                       std::span<const int> history, int target,
-                       size_t num_items) {
-  std::vector<float> scores(num_items, 0.0f);
-  for (const auto& nb : neighbors) {
-    auto votes = service.VoteItems(nb.id);
-    if (!votes.ok()) continue;  // neighbor with no votes contributes none
-    for (int item : *votes) scores[item] += nb.score;
-  }
+                   const HistoryOf& history_of, std::span<const int> history,
+                   int target, size_t num_items, size_t vote_window) {
+  core::VoteTally tally(num_items, vote_window);
+  for (const auto& nb : neighbors) tally.Add(history_of(nb.id), nb.score);
+  std::vector<float>& scores = tally.scores();
   for (int item : history) scores[item] = 0.0f;
   const float t = scores[target];
   size_t better = 0;
@@ -115,20 +96,20 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
 
   // The frozen/stale baselines keep an explicit pre-stream snapshot —
   // they model systems that are *not* the deployment loop, so they stay
-  // on a hand-managed index + vote copy.
-  std::vector<std::vector<int>> vote_items(n);
+  // on a hand-managed index and vote from the users' prefixes.
+  auto prefix_of = [&](int u) {
+    return std::span<const int>(dataset.sequence(u).data(), prefix_len(u));
+  };
   std::vector<float> bootstrap_emb(n * d, 0.0f);
   std::vector<int> populated;  // users with a non-empty prefix
   std::vector<float> populated_emb;
   for (size_t u = 0; u < n; ++u) {
-    const std::span<const int> prefix(dataset.sequence(u).data(),
-                                      prefix_len(u));
+    const std::span<const int> prefix = prefix_of(static_cast<int>(u));
     if (prefix.empty()) continue;
     float* emb = bootstrap_emb.data() + u * d;
     core::InferRecent(model, prefix, options.infer_window, emb);
     populated.push_back(static_cast<int>(u));
     populated_emb.insert(populated_emb.end(), emb, emb + d);
-    vote_items[u] = core::VoteList(prefix, options.vote_window);
   }
   SCCF_ASSIGN_OR_RETURN(
       std::unique_ptr<index::VectorIndex> frozen,
@@ -165,6 +146,12 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
       events.begin(), events.end(),
       [](const TailEvent& a, const TailEvent& b) { return a.ts < b.ts; });
 
+  // The live regime votes from the engine's current histories.
+  auto live_history_of = [&](int u) {
+    auto resp = engine.History({u});
+    return resp.ok() ? std::move(resp->items) : std::vector<int>{};
+  };
+
   // Windowed predict-then-reveal: every event in a window is predicted
   // against the engine state left by the previous window, then the whole
   // window is revealed in one batched Ingest (one shard-lock round, one
@@ -184,7 +171,7 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
 
       // Predict under both regimes. The query embedding is always fresh
       // (the query side is inductive either way); what differs is the
-      // staleness of the indexed corpus and of the neighbors' vote lists.
+      // staleness of the indexed corpus and of the neighbors' histories.
       // The live neighborhood comes straight from the Engine; with
       // reveal_window == 1 its stored history for e.user is exactly
       // `history` here (staged upserts are merged into the search).
@@ -200,12 +187,13 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
                                        static_cast<int>(e.user));
       SCCF_RETURN_NOT_OK(stale_nbrs.status());
 
-      const size_t live_rank = RankByVotesLive(
-          live_resp->neighbors, engine.service(), history, target, m);
+      const size_t w = options.vote_window;
+      const size_t live_rank = RankByVotes(
+          live_resp->neighbors, live_history_of, history, target, m, w);
       const size_t frozen_rank =
-          RankByVotes(*frozen_nbrs, vote_items, history, target, m);
+          RankByVotes(*frozen_nbrs, prefix_of, history, target, m, w);
       const size_t stale_rank =
-          RankByVotes(*stale_nbrs, vote_items, history, target, m);
+          RankByVotes(*stale_nbrs, prefix_of, history, target, m, w);
       for (size_t c = 0; c < options.cutoffs.size(); ++c) {
         const size_t k = options.cutoffs[c];
         result.live_hr[c] += live_rank <= k ? 1.0 : 0.0;
@@ -222,8 +210,8 @@ StatusOr<StreamingEvalResult> EvaluateStreamingUserBased(
     }
 
     // Reveal: the live Engine absorbs the window's interactions
-    // (history, vote list, embedding re-inference, buffered index
-    // refresh); the frozen regime keeps serving the stale snapshot.
+    // (history, embedding re-inference, buffered index refresh); the
+    // frozen regime keeps serving the stale snapshot.
     // `identify` is off — the next prediction does its own search.
     Engine::IngestRequest reveal;
     reveal.identify = false;

@@ -10,8 +10,9 @@ namespace sccf::persist {
 namespace {
 
 constexpr char kMagic[8] = {'S', 'C', 'C', 'F', 'S', 'N', 'A', 'P'};
-// Version 2 added the storage mode (fp32 / sq8) to the meta section.
-constexpr uint32_t kVersion = 2;
+// Version 2 added the storage mode (fp32 / sq8) to the meta section;
+// version 3 dropped the per-user vote lists from each shard payload.
+constexpr uint32_t kVersion = 3;
 
 constexpr uint8_t kSectionMeta = 'M';
 constexpr uint8_t kSectionShard = 'S';

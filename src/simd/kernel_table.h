@@ -25,11 +25,6 @@ struct KernelTable {
   /// register-blocked so the query vector is loaded once per block.
   void (*dot_batch)(const float* q, const float* base, size_t count,
                     size_t dim, float* out);
-  /// dst[idx[i]] += v for i in [0, n). Pre: idx values are unique within
-  /// one call (the AVX-512 gather/add/scatter path loses increments on
-  /// duplicates inside a 16-lane batch).
-  void (*scatter_add_constant)(float* dst, const int* idx, size_t n,
-                               float v);
   /// Raw inner product of an fp32 query against a length-n int8 code row:
   /// sum_i q[i] * c[i], accumulated in fp32. The affine SQ8 correction
   /// (scale * raw + offset * sum(q)) is applied by the derived kernels in
@@ -48,18 +43,6 @@ const KernelTable* ScalarTable();
 /// the dispatcher checks CPUID separately).
 const KernelTable* Avx2Table();
 const KernelTable* Avx512Table();
-
-/// Scalar building blocks reused by variant tables for ops an ISA does not
-/// accelerate (e.g. AVX2 has gathers but no scatters).
-float DotScalar(const float* a, const float* b, size_t n);
-float SquaredL2Scalar(const float* a, const float* b, size_t n);
-void AxpyScalar(float alpha, const float* x, float* y, size_t n);
-void DotBatchScalar(const float* q, const float* base, size_t count,
-                    size_t dim, float* out);
-void ScatterAddConstantScalar(float* dst, const int* idx, size_t n, float v);
-float DotI8Scalar(const float* q, const int8_t* c, size_t n);
-void DotBatchI8Scalar(const float* q, const int8_t* base, size_t count,
-                      size_t dim, float* out);
 
 }  // namespace sccf::simd::internal
 

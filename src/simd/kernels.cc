@@ -14,6 +14,7 @@
 namespace sccf::simd {
 
 namespace internal {
+namespace {
 
 float DotScalar(const float* a, const float* b, size_t n) {
   // Four independent accumulators: enough ILP that the scalar reference is
@@ -51,11 +52,6 @@ void DotBatchScalar(const float* q, const float* base, size_t count,
   }
 }
 
-void ScatterAddConstantScalar(float* dst, const int* idx, size_t n,
-                              float v) {
-  for (size_t i = 0; i < n; ++i) dst[idx[i]] += v;
-}
-
 float DotI8Scalar(const float* q, const int8_t* c, size_t n) {
   // Same four-accumulator shape as DotScalar so the int8 scalar baseline
   // is a fair reference for the widened-FMA variants.
@@ -79,10 +75,12 @@ void DotBatchI8Scalar(const float* q, const int8_t* base, size_t count,
   }
 }
 
+}  // namespace
+
 const KernelTable* ScalarTable() {
   static const KernelTable table = {
       &DotScalar, &SquaredL2Scalar, &AxpyScalar, &DotBatchScalar,
-      &ScatterAddConstantScalar, &DotI8Scalar, &DotBatchI8Scalar,
+      &DotI8Scalar, &DotBatchI8Scalar,
   };
   return &table;
 }
@@ -261,10 +259,6 @@ void NormalizeInPlace(float* v, size_t n) {
 void DotBatch(const float* q, const float* base, size_t count, size_t dim,
               float* out) {
   ActiveTable().dot_batch(q, base, count, dim, out);
-}
-
-void ScatterAddConstant(float* dst, const int* idx, size_t n, float v) {
-  ActiveTable().scatter_add_constant(dst, idx, n, v);
 }
 
 float DotI8(const float* q, const int8_t* c, size_t n) {

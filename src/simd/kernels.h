@@ -71,11 +71,6 @@ void NormalizeInPlace(float* v, size_t n);
 void DotBatch(const float* q, const float* base, size_t count, size_t dim,
               float* out);
 
-/// dst[idx[i]] += v for i in [0, n). Pre: idx values are unique within a
-/// call and in-bounds. Used for neighborhood vote accumulation (Eq. 12),
-/// where each neighbor's item list is de-duplicated.
-void ScatterAddConstant(float* dst, const int* idx, size_t n, float v);
-
 /// ---- Int8 (SQ8) kernels -----------------------------------------------
 ///
 /// The quant layer stores rows as int8 codes with a per-row affine map

@@ -183,9 +183,6 @@ void DotBatchI8Avx2(const float* q, const int8_t* base, size_t count,
 const KernelTable* Avx2Table() {
   static const KernelTable table = {
       &DotAvx2, &SquaredL2Avx2, &AxpyAvx2, &DotBatchAvx2,
-      // AVX2 has gathers but no scatters; the scalar loop is already
-      // store-bound, so keep the reference implementation.
-      &ScatterAddConstantScalar,
       &DotI8Avx2, &DotBatchI8Avx2,
   };
   return &table;

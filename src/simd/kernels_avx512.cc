@@ -112,22 +112,6 @@ void DotBatchAvx512(const float* q, const float* base, size_t count,
   for (; r < count; ++r) out[r] = DotAvx512(q, base + r * dim, dim);
 }
 
-void ScatterAddConstantAvx512(float* dst, const int* idx, size_t n,
-                              float v) {
-  // Gather / add / scatter. Correct only because callers guarantee unique
-  // indices per call (duplicates inside one 16-lane batch would collapse
-  // to a single increment) — documented on the public API.
-  const __m512 vv = _mm512_set1_ps(v);
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i vidx =
-        _mm512_loadu_si512(reinterpret_cast<const void*>(idx + i));
-    const __m512 cur = _mm512_i32gather_ps(vidx, dst, 4);
-    _mm512_i32scatter_ps(dst, vidx, _mm512_add_ps(cur, vv), 4);
-  }
-  for (; i < n; ++i) dst[idx[i]] += v;
-}
-
 /// Widen 16 int8 codes to a 16-lane fp32 vector. The 128-bit load is
 /// SSE2 and the sign-extending VPMOVSXBD to zmm is AVX512F, so this TU's
 /// -mavx512f-only flag set suffices. Byte-granular masked loads would
@@ -202,7 +186,7 @@ void DotBatchI8Avx512(const float* q, const int8_t* base, size_t count,
 const KernelTable* Avx512Table() {
   static const KernelTable table = {
       &DotAvx512, &SquaredL2Avx512, &AxpyAvx512, &DotBatchAvx512,
-      &ScatterAddConstantAvx512, &DotI8Avx512, &DotBatchI8Avx512,
+      &DotI8Avx512, &DotBatchI8Avx512,
   };
   return &table;
 }

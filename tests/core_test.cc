@@ -11,9 +11,42 @@
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "models/fism.h"
+#include "util/random.h"
 
 namespace sccf::core {
 namespace {
+
+// Eq. 12 by its definition: each neighbor adds its similarity once to
+// every distinct item among the last `window` items of its training
+// history.
+std::vector<float> ReferenceVotes(const std::vector<index::Neighbor>& nbrs,
+                                  const data::LeaveOneOutSplit& split,
+                                  size_t window) {
+  std::vector<float> scores(split.dataset().num_items(), 0.0f);
+  for (const auto& nb : nbrs) {
+    const std::span<const int> h = split.TrainSequence(nb.id);
+    std::vector<int> votes(h.end() - std::min(h.size(), window), h.end());
+    std::sort(votes.begin(), votes.end());
+    votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
+    for (int item : votes) scores[item] += nb.score;
+  }
+  return scores;
+}
+
+// True when `history` repeats an item inside its last `window` items and
+// holds some other item only before them.
+bool RepeatsAndHoldsOlderItem(std::span<const int> history, size_t window) {
+  const size_t cut = history.size() - std::min(history.size(), window);
+  std::vector<int> recent(history.begin() + cut, history.end());
+  std::sort(recent.begin(), recent.end());
+  const bool repeats =
+      std::adjacent_find(recent.begin(), recent.end()) != recent.end();
+  const bool older = std::any_of(
+      history.begin(), history.begin() + cut, [&](int item) {
+        return !std::binary_search(recent.begin(), recent.end(), item);
+      });
+  return repeats && older;
+}
 
 // ----------------------------------------------------------- candidates
 
@@ -144,32 +177,65 @@ TEST_F(CoreTest, UserBasedScoresAreNeighborVoteSums) {
   fism_->InferUserEmbedding(history.subspan(history.size() - take, take),
                             emb.data());
   auto nbrs = uu.Neighbors(emb.data(), 5, static_cast<int>(u));
-  std::vector<float> expected(dataset_->num_items(), 0.0f);
-  for (const auto& nb : nbrs) {
-    for (int item : uu.vote_items(nb.id)) expected[item] += nb.score;
-  }
+  std::vector<float> expected = ReferenceVotes(nbrs, *split_, 15);
   for (int item : history) expected[item] = 0.0f;
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR(scores[i], expected[i], 1e-4) << "item " << i;
+    EXPECT_EQ(scores[i], expected[i]) << "item " << i;
   }
 }
 
-TEST_F(CoreTest, UpdateUserChangesNeighborhood) {
+// Random histories over a 12-item catalog: every 15-item vote window
+// repeats an item, and most users hold some item only before their
+// window. A neighbor must vote once for a repeated item and never for an
+// item it holds only before the window. Each query is a user's last
+// three items, so the own-history mask leaves most items scored.
+TEST(UserBasedVoteTest, RepeatedItemsVoteOncePerNeighborWindow) {
+  Rng rng(5);
+  std::vector<data::Interaction> log;
+  for (int u = 0; u < 40; ++u) {
+    for (int t = 0; t < 22 + u % 9; ++t) {
+      log.push_back({u, static_cast<int>(rng.Uniform(12)), t});
+    }
+  }
+  auto ds = data::Dataset::FromInteractions("repeats", std::move(log));
+  ASSERT_TRUE(ds.ok());
+  const data::LeaveOneOutSplit split(*ds);
+  models::Fism::Options fopts;
+  fopts.dim = 8;
+  fopts.epochs = 2;
+  models::Fism fism(fopts);
+  ASSERT_TRUE(fism.Fit(split).ok());
+
   UserBasedComponent::Options opts;
   opts.beta = 10;
-  UserBasedComponent uu(*fism_, opts);
-  ASSERT_TRUE(uu.Fit(*split_).ok());
+  UserBasedComponent uu(fism, opts);
+  ASSERT_TRUE(uu.Fit(split).ok());
 
-  // Re-point user 0 at user 50's history; user 50 must enter the
-  // neighborhood.
-  const auto target = split_->TrainSequence(50);
-  std::vector<int> adopted(target.begin(), target.end());
-  ASSERT_TRUE(uu.UpdateUser(0, adopted).ok());
-  std::vector<float> emb(fism_->embedding_dim(), 0.0f);
-  fism_->InferUserEmbedding(adopted, emb.data());
-  auto nbrs = uu.Neighbors(emb.data(), 3, /*exclude_user=*/50);
-  ASSERT_FALSE(nbrs.empty());
-  EXPECT_EQ(nbrs[0].id, 0);  // updated user now sits on 50's embedding
+  size_t telling_neighbors = 0;
+  size_t scored = 0;
+  for (size_t u = 0; u < split.num_users(); ++u) {
+    const auto history = split.TrainSequence(u).last(3);
+    std::vector<float> scores;
+    uu.ScoreAll(u, history, &scores);
+
+    std::vector<float> emb(fism.embedding_dim(), 0.0f);
+    InferRecent(fism, history, opts.infer_window, emb.data());
+    const auto nbrs = uu.Neighbors(emb.data(), opts.beta,
+                                   static_cast<int>(u));
+    std::vector<float> expected = ReferenceVotes(nbrs, split, 15);
+    for (int item : history) expected[item] = 0.0f;
+    ASSERT_EQ(scores.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(scores[i], expected[i]) << "user " << u << " item " << i;
+      scored += expected[i] != 0.0f;
+    }
+    for (const auto& nb : nbrs) {
+      telling_neighbors +=
+          RepeatsAndHoldsOlderItem(split.TrainSequence(nb.id), 15);
+    }
+  }
+  EXPECT_GT(telling_neighbors, 0u);
+  EXPECT_GT(scored, 0u);
 }
 
 TEST_F(CoreTest, IndexBackendsAgreeOnTopNeighbor) {

@@ -89,7 +89,7 @@ class EngineTest : public testing::Test {
   }
 
   /// Asserts both services expose identical user-facing state for
-  /// `users`: histories, vote lists, neighborhoods, recommendations.
+  /// `users`: histories, neighborhoods, recommendations.
   static void ExpectSameState(const RealTimeService& a,
                               const RealTimeService& b,
                               const std::vector<int>& users) {
@@ -100,13 +100,6 @@ class EngineTest : public testing::Test {
       ASSERT_TRUE(h_a.ok()) << "user " << user;
       ASSERT_TRUE(h_b.ok()) << "user " << user;
       EXPECT_EQ(*h_a, *h_b) << "history diverged for user " << user;
-
-      auto v_a = a.VoteItems(user);
-      auto v_b = b.VoteItems(user);
-      ASSERT_EQ(v_a.ok(), v_b.ok()) << "user " << user;
-      if (v_a.ok()) {
-        EXPECT_EQ(*v_a, *v_b) << "votes diverged user " << user;
-      }
 
       auto n_a = a.Neighbors(user);
       auto n_b = b.Neighbors(user);

@@ -308,12 +308,24 @@ StatusOr<online::StreamingEvalResult> LegacyStreamingEval(
     model.InferUserEmbedding(history.subspan(history.size() - take, take),
                              out);
   };
+  // A neighbor's Eq. 12 votes: the distinct items of its history's last
+  // vote_window items.
+  auto votes_of = [&](std::span<const int> h) {
+    const size_t vt = options.vote_window == 0
+                          ? h.size()
+                          : std::min(h.size(), options.vote_window);
+    std::vector<int> votes(h.end() - vt, h.end());
+    std::sort(votes.begin(), votes.end());
+    votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
+    return votes;
+  };
+  // `votes_for(id)` returns a neighbor's votes.
   auto rank_by_votes = [&](const std::vector<index::Neighbor>& neighbors,
-                           const std::vector<std::vector<int>>& vote_items,
+                           const auto& votes_for,
                            std::span<const int> history, int target) {
     std::vector<float> scores(m, 0.0f);
     for (const auto& nb : neighbors) {
-      for (int item : vote_items[nb.id]) scores[item] += nb.score;
+      for (int item : votes_for(nb.id)) scores[item] += nb.score;
     }
     for (int item : history) scores[item] = 0.0f;
     const float t = scores[target];
@@ -321,22 +333,6 @@ StatusOr<online::StreamingEvalResult> LegacyStreamingEval(
     for (float s : scores) better += s > t;
     return better + 1;
   };
-  auto rank_by_votes_live =
-      [&](const std::vector<index::Neighbor>& neighbors,
-          const core::RealTimeService& service, std::span<const int> history,
-          int target) {
-        std::vector<float> scores(m, 0.0f);
-        for (const auto& nb : neighbors) {
-          auto votes = service.VoteItems(nb.id);
-          if (!votes.ok()) continue;
-          for (int item : *votes) scores[item] += nb.score;
-        }
-        for (int item : history) scores[item] = 0.0f;
-        const float t = scores[target];
-        size_t better = 0;
-        for (float s : scores) better += s > t;
-        return better + 1;
-      };
 
   Engine::Options live_opts;
   live_opts.beta = options.beta;
@@ -356,7 +352,7 @@ StatusOr<online::StreamingEvalResult> LegacyStreamingEval(
     SCCF_RETURN_NOT_OK(engine.Bootstrap(states));
   }
 
-  std::vector<std::vector<int>> vote_items(n);
+  std::vector<std::vector<int>> frozen_votes(n);
   std::vector<float> bootstrap_emb(n * d, 0.0f);
   std::vector<int> populated;
   for (size_t u = 0; u < n; ++u) {
@@ -366,13 +362,15 @@ StatusOr<online::StreamingEvalResult> LegacyStreamingEval(
     std::span<const int> prefix(seq.data(), p);
     infer_tail(prefix, bootstrap_emb.data() + u * d);
     populated.push_back(static_cast<int>(u));
-    const size_t vt =
-        options.vote_window == 0 ? p : std::min(p, options.vote_window);
-    std::vector<int> votes(prefix.end() - vt, prefix.end());
-    std::sort(votes.begin(), votes.end());
-    votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
-    vote_items[u] = std::move(votes);
+    frozen_votes[u] = votes_of(prefix);
   }
+  auto frozen_votes_for = [&](int v) -> const std::vector<int>& {
+    return frozen_votes[v];
+  };
+  auto live_votes_for = [&](int v) {
+    auto h = engine.History({v});
+    return h.ok() ? votes_of(h->items) : std::vector<int>{};
+  };
   std::unique_ptr<index::VectorIndex> frozen;
   if (options.index_kind == core::IndexKind::kIvfFlat) {
     index::IvfFlatIndex::Options ivf_opts;
@@ -448,12 +446,12 @@ StatusOr<online::StreamingEvalResult> LegacyStreamingEval(
                        static_cast<int>(e.user));
     SCCF_RETURN_NOT_OK(stale_nbrs.status());
 
-    const size_t live_rank = rank_by_votes_live(
-        live_resp->neighbors, engine.service(), history, target);
+    const size_t live_rank =
+        rank_by_votes(live_resp->neighbors, live_votes_for, history, target);
     const size_t frozen_rank =
-        rank_by_votes(*frozen_nbrs, vote_items, history, target);
+        rank_by_votes(*frozen_nbrs, frozen_votes_for, history, target);
     const size_t stale_rank =
-        rank_by_votes(*stale_nbrs, vote_items, history, target);
+        rank_by_votes(*stale_nbrs, frozen_votes_for, history, target);
     for (size_t c = 0; c < options.cutoffs.size(); ++c) {
       const size_t k = options.cutoffs[c];
       result.live_hr[c] += live_rank <= k ? 1.0 : 0.0;

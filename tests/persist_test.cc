@@ -929,7 +929,7 @@ class SnapshotTest : public ::testing::Test {
   }
 
   /// User-facing state equality over a sample of users (histories,
-  /// votes, neighborhoods, recommendations) — the same bar the engine
+  /// neighborhoods, recommendations) — the same bar the engine
   /// equivalence tests use.
   static void ExpectSameState(const RealTimeService& a,
                               const RealTimeService& b) {
@@ -1034,6 +1034,34 @@ TEST_F(SnapshotTest, LoadValidatesMetaAgainstService) {
             StatusCode::kInvalidArgument);
 }
 
+// Version 2 shard payloads carried a vote-list map after the histories.
+// A version-2 file must be refused by its header, never parsed as the
+// current layout.
+TEST_F(SnapshotTest, RefusesVersionTwoSnapshot) {
+  auto source = MakeService(BaseOptions());
+  auto encoded = EncodeSnapshot(*source);
+  ASSERT_TRUE(encoded.ok());
+  std::string v2 = *encoded;
+  std::string version;
+  PutFixed32(&version, 2);
+  v2.replace(8, version.size(), version);  // right after the 8-byte magic
+
+  SnapshotMeta meta;
+  std::vector<std::string_view> shards;
+  const Status decoded = DecodeSnapshot(v2, &meta, &shards);
+  EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.message(), "unsupported snapshot version");
+
+  TempDir dir;
+  const std::string path = dir.file("snapshot");
+  WriteBytes(path, v2);
+  auto target = MakeService(BaseOptions(), /*ingest=*/false);
+  const Status loaded = LoadSnapshotFile(path, target.get());
+  EXPECT_EQ(loaded.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(loaded.message(), "unsupported snapshot version");
+  EXPECT_TRUE(target->Neighbors(0).ok());  // still serving
+}
+
 TEST_F(SnapshotTest, BitFlipAndTruncationSweepFailCleanly) {
  // The sweep runs for both storage modes: the sq8 snapshot carries the
  // quantized index sections (storage byte, codes, scale/offset params)
@@ -1118,21 +1146,19 @@ TEST_F(SnapshotTest, RestoreRejectsCorruptShardPayloadUnchanged) {
 // ------------------------------------------------------- sq8 storage
 
 /// Extracts the length-prefixed index blob from an ExportShard payload
-/// (after the journal seq and the two int-list maps).
+/// (after the journal seq and the history map).
 std::string_view ShardIndexBlob(std::string_view payload) {
   ByteReader r(payload);
   uint64_t seq = 0;
   SCCF_CHECK(r.ReadFixed64(&seq).ok());
-  for (int m = 0; m < 2; ++m) {
-    uint64_t count = 0;
-    SCCF_CHECK(r.ReadFixed64(&count).ok());
-    for (uint64_t e = 0; e < count; ++e) {
-      int32_t v = 0;
-      SCCF_CHECK(r.ReadI32(&v).ok());
-      uint64_t len = 0;
-      SCCF_CHECK(r.ReadFixed64(&len).ok());
-      for (uint64_t i = 0; i < len; ++i) SCCF_CHECK(r.ReadI32(&v).ok());
-    }
+  uint64_t count = 0;
+  SCCF_CHECK(r.ReadFixed64(&count).ok());
+  for (uint64_t e = 0; e < count; ++e) {
+    int32_t v = 0;
+    SCCF_CHECK(r.ReadI32(&v).ok());
+    uint64_t len = 0;
+    SCCF_CHECK(r.ReadFixed64(&len).ok());
+    for (uint64_t i = 0; i < len; ++i) SCCF_CHECK(r.ReadI32(&v).ok());
   }
   std::string_view blob;
   SCCF_CHECK(r.ReadLengthPrefixed(&blob).ok());

@@ -14,6 +14,7 @@
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "models/fism.h"
+#include "util/random.h"
 
 namespace sccf::core {
 namespace {
@@ -142,6 +143,64 @@ TEST_F(RealTimeTest, RecommendUserBasedExcludesOwnHistory) {
   // Sorted descending by vote score.
   for (size_t i = 1; i < recs->size(); ++i) {
     EXPECT_GE((*recs)[i - 1].score, (*recs)[i].score);
+  }
+}
+
+// Eq. 12 counts an item once per neighbor however often the neighbor
+// repeats it inside its vote window, and not at all when the neighbor
+// holds it only before the window. Random histories over 12 of the
+// catalog's items make both cases common; every reply must equal a
+// reference built from the neighbors' histories by sort-unique of the
+// window, exactly, with 1 and 4 shards.
+TEST_F(RealTimeTest, RecommendVotesEachWindowItemOncePerNeighbor) {
+  constexpr size_t kWindow = 15;
+  Rng rng(9);
+  std::vector<RealTimeService::UserState> states(80);
+  for (size_t u = 0; u < states.size(); ++u) {
+    states[u].user = static_cast<int>(u);
+    for (size_t t = 0; t < 16 + u % 15; ++t) {
+      states[u].history.push_back(static_cast<int>(rng.Uniform(12)));
+    }
+  }
+  const size_t m = dataset_->num_items();
+  for (size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    RealTimeService::Options opts;
+    opts.beta = 20;
+    opts.vote_window = kWindow;
+    opts.num_shards = shards;
+    RealTimeService svc(*fism_, opts);
+    ASSERT_TRUE(svc.Bootstrap(states).ok());
+
+    size_t telling_neighbors = 0;
+    for (int user = 0; user < 8; ++user) {
+      auto nbrs = svc.Neighbors(user);
+      ASSERT_TRUE(nbrs.ok());
+      std::vector<float> expected(m, 0.0f);
+      for (const index::Neighbor& nb : *nbrs) {
+        const std::vector<int> h = *svc.History(nb.id);
+        const size_t cut = h.size() - std::min(h.size(), kWindow);
+        std::vector<int> votes(h.begin() + cut, h.end());
+        std::sort(votes.begin(), votes.end());
+        votes.erase(std::unique(votes.begin(), votes.end()), votes.end());
+        for (int item : votes) expected[item] += nb.score;
+        telling_neighbors +=
+            votes.size() < h.size() - cut &&
+            std::any_of(h.begin(), h.begin() + cut, [&](int item) {
+              return !std::binary_search(votes.begin(), votes.end(), item);
+            });
+      }
+      const CandidateList want = TopNFromScores(expected, m, 0.0f);
+      auto got = svc.RecommendUserBased(user, m, 0, /*exclude_seen=*/false);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(got->size(), want.size()) << "user " << user;
+      ASSERT_FALSE(want.empty());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ((*got)[i].id, want[i].id) << "user " << user;
+        EXPECT_EQ((*got)[i].score, want[i].score) << "user " << user;
+      }
+    }
+    EXPECT_GT(telling_neighbors, 0u);
   }
 }
 
@@ -565,13 +624,12 @@ TEST_F(RealTimeTest, BatchJournalsShardGroupsInBatchOrder) {
   // A failing append for c's shard cuts the batch short there and leaves
   // that shard exactly as it was.
   const size_t failing = svc.ShardOf(c);
-  std::vector<std::vector<int>> histories_before, votes_before;
+  std::vector<std::vector<int>> histories_before;
   std::vector<int> failing_users;
   for (int user : {a, b, c, cold}) {
     if (svc.ShardOf(user) != failing) continue;
     failing_users.push_back(user);
     histories_before.push_back(*svc.History(user));
-    votes_before.push_back(*svc.VoteItems(user));
   }
   const uint64_t seq_before = svc.ShardJournalSeq(failing);
   const size_t users_before = svc.ShardSizes()[failing];
@@ -582,7 +640,6 @@ TEST_F(RealTimeTest, BatchJournalsShardGroupsInBatchOrder) {
   EXPECT_EQ(svc.ShardSizes()[failing], users_before);
   for (size_t i = 0; i < failing_users.size(); ++i) {
     EXPECT_EQ(*svc.History(failing_users[i]), histories_before[i]);
-    EXPECT_EQ(*svc.VoteItems(failing_users[i]), votes_before[i]);
   }
   for (const RecordingSink::Record& rec : sink.records) {
     if (rec.shard == failing) {

@@ -124,7 +124,7 @@ class RecoveryTest : public ::testing::Test {
   /// two cold-start users created mid-stream.
   static std::vector<int> ProbeUsers() { return {0, 1, 5, 19, 9000, 9001}; }
 
-  /// Bit-identical user-facing state: histories, vote lists, Eq. 11
+  /// Bit-identical user-facing state: histories, Eq. 11
   /// neighborhoods, and Eq. 12 recommendation lists with exact float
   /// equality — the recovery contract is "as if the crash never
   /// happened", not "approximately".
@@ -138,13 +138,6 @@ class RecoveryTest : public ::testing::Test {
       ASSERT_TRUE(h_a.ok()) << "user " << user;
       ASSERT_TRUE(h_b.ok()) << "user " << user;
       EXPECT_EQ(*h_a, *h_b) << "history diverged for user " << user;
-
-      auto v_a = a.VoteItems(user);
-      auto v_b = b.VoteItems(user);
-      ASSERT_EQ(v_a.ok(), v_b.ok()) << "user " << user;
-      if (v_a.ok()) {
-        EXPECT_EQ(*v_a, *v_b) << "votes diverged user " << user;
-      }
 
       auto n_a = a.Neighbors(user);
       auto n_b = b.Neighbors(user);

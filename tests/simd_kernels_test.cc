@@ -114,31 +114,6 @@ TEST_F(SimdKernelsTest, DotBatchMatchesPerRowDot) {
   }
 }
 
-TEST_F(SimdKernelsTest, ScatterAddConstantMatchesScalarLoop) {
-  Rng rng(13);
-  const size_t size = 500;
-  for (size_t n : {1u, 15u, 16u, 17u, 48u, 100u}) {
-    // Unique indices (the documented precondition): a shuffled id range.
-    std::vector<int> ids(size);
-    for (size_t i = 0; i < size; ++i) ids[i] = static_cast<int>(i);
-    rng.Shuffle(ids);
-    ids.resize(n);
-
-    std::vector<float> want(size, 0.5f);
-    for (int id : ids) want[id] += 1.25f;
-
-    for (Variant v : SupportedVariants()) {
-      ASSERT_TRUE(ForceVariant(v).ok());
-      std::vector<float> dst(size, 0.5f);
-      ScatterAddConstant(dst.data(), ids.data(), n, 1.25f);
-      for (size_t i = 0; i < size; ++i) {
-        ASSERT_EQ(dst[i], want[i])
-            << "ScatterAdd n=" << n << " i=" << i << " " << VariantName(v);
-      }
-    }
-  }
-}
-
 // The zero-norm policy has exactly one definition (the satellite fix):
 // every variant must agree that zero vectors produce 0 cosine and that
 // normalization leaves/writes zeros instead of NaN.
@@ -305,6 +280,17 @@ TEST_F(SimdKernelsTest, EnvOverrideForcesEachSupportedVariant) {
     ResetVariantFromEnv();
     EXPECT_EQ(ActiveVariant(), v) << "SCCF_SIMD=" << VariantName(v);
   }
+}
+
+// With no override, dispatch must pick the widest variant the build and
+// CPU support (SupportedVariants() lists them narrowest first). A
+// dispatcher that settles on scalar, or on AVX2 on an AVX-512 host,
+// passes every parity test above and only loses speed.
+TEST_F(SimdKernelsTest, AutoDispatchPicksWidestSupportedVariant) {
+  unsetenv("SCCF_SIMD");
+  ResetVariantFromEnv();
+  EXPECT_EQ(ActiveVariant(), SupportedVariants().back())
+      << "auto-dispatched " << VariantName(ActiveVariant());
 }
 
 TEST_F(SimdKernelsTest, EnvOverrideFallsBackOnBadValues) {
