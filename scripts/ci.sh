@@ -95,9 +95,11 @@ fi
 # corrupted bytes through every decoder, which is exactly where an
 # out-of-bounds read would hide. `-L crash` is the fork/SIGKILL suite;
 # persist_test (plain tier1) carries the decoder fault matrices, so it
-# runs explicitly alongside. So does index_test: the top-k selector
-# appends every scanned row into spare buffer space before deciding to
-# keep it, so an off-by-one there is a heap overflow only ASan sees.
+# runs explicitly alongside. So do index_test and simd_kernels_test: the
+# top-k selector's threshold filter writes whole vectors of candidates
+# into spare buffer space before counting which to keep, so a store past
+# that space is a heap overflow only ASan sees (the filter test gives
+# each variant exactly n entries of room).
 # engine_test and realtime_test drive the ingest path, which slices each
 # shard's events as a span out of one regrouped copy of the batch.
 # core_test drives the Eq. 12 vote tally, which indexes per-item arrays
@@ -106,8 +108,8 @@ fi
 if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
      -o /dev/null 2>/dev/null; then
   cmake --preset asan >/dev/null
-  ASAN_TARGETS=(persist_test index_test core_test engine_test
-                realtime_test recovery_test)
+  ASAN_TARGETS=(persist_test index_test simd_kernels_test core_test
+                engine_test realtime_test recovery_test)
   # The server suites are crash-labeled too, but Linux-only (epoll) —
   # build them where the release daemon built: the syscall
   # fault-injection suite (EINTR storms, short writes, EMFILE, ENOSPC
@@ -119,6 +121,7 @@ if echo 'int main(){}' | "${CXX:-c++}" -fsanitize=address -x c++ - \
   cmake --build --preset asan -j "${JOBS}" --target "${ASAN_TARGETS[@]}"
   ./build/asan/tests/persist_test >/dev/null
   ./build/asan/tests/index_test >/dev/null
+  ./build/asan/tests/simd_kernels_test >/dev/null
   ./build/asan/tests/core_test >/dev/null
   ./build/asan/tests/engine_test >/dev/null
   ./build/asan/tests/realtime_test >/dev/null

@@ -45,6 +45,18 @@ size_t ShardIndex(int user, size_t num_shards) {
       num_shards);
 }
 
+/// Appends to a history that grows by a bounded step, not by doubling.
+/// A doubled buffer is up to half unused and the one it replaced is left
+/// to the heap, so under a steady ingest stream the daemon's RSS grew
+/// by nearly twice the 4 bytes each event adds.
+void AppendToHistory(std::vector<int>* history, int item) {
+  if (history->size() == history->capacity()) {
+    history->reserve(history->size() +
+                     std::max<size_t>(16, history->size() / 8));
+  }
+  history->push_back(item);
+}
+
 }  // namespace
 
 RealTimeService::RealTimeService(const models::InductiveUiModel& model,
@@ -136,7 +148,7 @@ Status RealTimeService::BootstrapFromSplit(
 }
 
 Status RealTimeService::SearchShard(const Shard& shard, const float* query,
-                                    size_t k, int exclude_user,
+                                    int exclude_user,
                                     index::TopKAccumulator* acc) const {
   // Age policy, query side: an overdue buffer is drained before the
   // search, under an opportunistically-acquired write lock. try_to_lock
@@ -158,29 +170,26 @@ Status RealTimeService::SearchShard(const Shard& shard, const float* query,
     }
   }
   std::shared_lock<std::shared_mutex> lock(shard.mu);
-  const size_t staged = shard.pending == nullptr ? 0 : shard.pending->size();
-  // Staged ids shadow their stale indexed rows, so ask the index for up
-  // to `staged` extra hits — dropping the shadowed ones can then never
-  // starve the merge below k results.
-  SCCF_ASSIGN_OR_RETURN(
-      std::vector<index::Neighbor> hits,
-      shard.index->Search(query, k + staged, exclude_user, acc->Floor()));
-  for (const index::Neighbor& nb : hits) {
-    if (staged == 0 || !shard.pending->contains(nb.id)) {
-      acc->Offer(nb.id, nb.score);
-    }
-  }
-  if (staged > 0) shard.pending->OfferTo(query, exclude_user, acc);
+  // The backend offers its rows straight into the caller's selector; a
+  // staged id's indexed row is stale, so the write buffer is its shadow
+  // set, and the staged row itself is offered after.
+  const index::UpsertBuffer* staged =
+      shard.pending == nullptr || shard.pending->empty()
+          ? nullptr
+          : shard.pending.get();
+  SCCF_RETURN_NOT_OK(shard.index->SearchInto(query, exclude_user, staged, acc));
+  if (staged != nullptr) staged->OfferTo(query, exclude_user, acc);
   return Status::OK();
 }
 
 StatusOr<std::vector<index::Neighbor>> RealTimeService::SearchAllShards(
     const float* query, size_t k, int exclude_user) const {
-  // One selector over every shard; each shard's search starts from the
-  // k-th score the shards before it already hold.
+  // One selector over every shard: each shard's scan offers into it, so a
+  // row below the k-th score the shards before it already hold is dropped
+  // by the threshold filter.
   index::TopKAccumulator acc(k);
   for (const auto& shard : shards_) {
-    SCCF_RETURN_NOT_OK(SearchShard(*shard, query, k, exclude_user, &acc));
+    SCCF_RETURN_NOT_OK(SearchShard(*shard, query, exclude_user, &acc));
   }
   return acc.Take();
 }
@@ -295,7 +304,7 @@ StatusOr<size_t> RealTimeService::ApplyGroupLocked(
   for (size_t i = 0; i < group.size(); ++i) {
     const Event& e = group[i];
     auto [hist_it, created] = shard.histories.try_emplace(e.user);
-    hist_it->second.push_back(e.item);  // cold start: creates
+    AppendToHistory(&hist_it->second, e.item);  // cold start: creates
     created_users += created ? 1 : 0;
     auto [it, inserted] = touched_at.try_emplace(e.user, touched->size());
     if (inserted) {

@@ -35,10 +35,10 @@ class IngestSink;
 /// shards. Each shard owns its own VectorIndex, history map, and a
 /// std::shared_mutex, so concurrent OnInteraction calls for users in
 /// different shards never contend. Queries (Neighbors /
-/// RecommendUserBased) fan a per-shard top-k search out under shared
-/// (read) locks — one shard at a time, never holding two locks — into one
-/// exact top-k selector (index::TopKAccumulator), passing each shard the
-/// k-th score found so far so it can skip rows that cannot enter.
+/// RecommendUserBased) fan a per-shard search out under shared (read)
+/// locks — one shard at a time, never holding two locks — into one exact
+/// top-k selector (index::TopKAccumulator): each shard's scan offers its
+/// rows straight into it, against the k-th score found so far.
 ///
 /// Thread-safety contract:
 ///  - Bootstrap must be called exactly once and must complete (its return
@@ -422,9 +422,11 @@ class RealTimeService {
                                     std::span<const Event> group,
                                     std::vector<TouchedUser>* touched);
   /// Offers one shard's candidates for the top-k to `acc` under the
-  /// shard's shared lock: the backend's Search hits at or above
-  /// acc->Floor() (staged ids shadowed) and the shard's write buffer.
-  Status SearchShard(const Shard& shard, const float* query, size_t k,
+  /// shard's shared lock: the backend's rows, which its SearchInto offers
+  /// straight into `acc` with the shard's write buffer as the shadow set
+  /// (a staged id's stale indexed row is never offered), then the staged
+  /// rows themselves.
+  Status SearchShard(const Shard& shard, const float* query,
                      int exclude_user, index::TopKAccumulator* acc) const;
   /// Top-k over every shard (shared lock per shard, one at a time), all
   /// fed into one selector. `exclude_user` only matches in its own shard.

@@ -1,6 +1,7 @@
 #include "index/brute_force_index.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/coding.h"
@@ -48,19 +49,33 @@ IndexMemoryStats BruteForceIndex::memory_stats() const {
   return stats;
 }
 
-StatusOr<std::vector<Neighbor>> BruteForceIndex::Search(
-    const float* query, size_t k, int exclude_id, float floor) const {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
+Status BruteForceIndex::SearchInto(const float* query, int exclude_id,
+                                   const UpsertBuffer* shadow,
+                                   TopKAccumulator* acc) const {
+  // Slots of the rows staged updates shadow, ascending: one lookup per
+  // staged id, then one pass beside the scan.
+  std::vector<size_t> shadowed;
+  if (shadow != nullptr && !shadow->empty()) {
+    shadowed.reserve(shadow->size());
+    for (int id : shadow->ids()) {
+      const auto it = slot_.find(id);
+      if (it != slot_.end()) shadowed.push_back(it->second);
+    }
+    std::sort(shadowed.begin(), shadowed.end());
+  }
   const quant::RowStore::Query q = rows_.PrepareQuery(query);
-  TopKAccumulator acc(k, floor);
   constexpr size_t kBlock = 256;
   float scores[kBlock];
+  size_t next = 0;
   for (size_t s = 0; s < ids_.size(); s += kBlock) {
     const size_t len = std::min(kBlock, ids_.size() - s);
     rows_.ScoreBatch(q, s, len, scores);
-    acc.OfferBlock(ids_.data() + s, scores, len, exclude_id);
+    for (; next < shadowed.size() && shadowed[next] < s + len; ++next) {
+      scores[shadowed[next] - s] = std::numeric_limits<float>::quiet_NaN();
+    }
+    acc->OfferBlock(ids_.data() + s, scores, len, exclude_id);
   }
-  return acc.Take();
+  return Status::OK();
 }
 
 // Payload layout (inside the persist layer's checksummed framing):

@@ -31,9 +31,12 @@ class BruteForceIndex : public VectorIndex {
 
   Status Add(int id, const float* vec) override;
   Status Remove(int id) override;
-  StatusOr<std::vector<Neighbor>> Search(
-      const float* query, size_t k, int exclude_id = -1,
-      float floor = -std::numeric_limits<float>::infinity()) const override;
+  /// Scans the rows in blocks of 256 straight into `acc`; a shadowed
+  /// row's score is set to NaN in its block, which the selector never
+  /// keeps.
+  Status SearchInto(const float* query, int exclude_id,
+                    const UpsertBuffer* shadow,
+                    TopKAccumulator* acc) const override;
 
   size_t size() const override { return ids_.size(); }
   size_t dim() const override { return rows_.dim(); }

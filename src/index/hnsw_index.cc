@@ -227,11 +227,11 @@ IndexMemoryStats HnswIndex::memory_stats() const {
   return stats;
 }
 
-StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
-                                                  size_t k, int exclude_id,
-                                                  float floor) const {
-  if (k == 0) return Status::InvalidArgument("k must be positive");
-  if (entry_point_ < 0) return std::vector<Neighbor>{};
+Status HnswIndex::SearchInto(const float* query, int exclude_id,
+                             const UpsertBuffer* shadow,
+                             TopKAccumulator* acc) const {
+  const size_t k = acc->k() + (shadow == nullptr ? 0 : shadow->size());
+  if (k == 0 || entry_point_ < 0) return Status::OK();
 
   const Query q = rows_.PrepareQuery(query);
 
@@ -244,14 +244,15 @@ StatusOr<std::vector<Neighbor>> HnswIndex::Search(const float* query,
 
   // Filter tombstones and duplicate external ids (an id can appear once
   // live and multiple times tombstoned after updates).
-  TopKAccumulator acc(k, floor);
+  TopKAccumulator hits(k, acc->Floor());
   for (const Neighbor& nb : raw) {
     const GraphNode& node = nodes_[nb.id];
     if (node.deleted) continue;
     if (node.external_id == exclude_id) continue;
-    acc.Offer(node.external_id, nb.score);
+    hits.Offer(node.external_id, nb.score);
   }
-  return acc.Take();
+  OfferUnshadowed(hits.Take(), shadow, acc);
+  return Status::OK();
 }
 
 // Payload layout:

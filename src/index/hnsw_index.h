@@ -58,9 +58,9 @@ class HnswIndex : public VectorIndex {
 
   Status Add(int id, const float* vec) override;
   Status Remove(int id) override;
-  StatusOr<std::vector<Neighbor>> Search(
-      const float* query, size_t k, int exclude_id = -1,
-      float floor = -std::numeric_limits<float>::infinity()) const override;
+  Status SearchInto(const float* query, int exclude_id,
+                    const UpsertBuffer* shadow,
+                    TopKAccumulator* acc) const override;
 
   size_t size() const override { return live_.size(); }
   size_t dim() const override { return rows_.dim(); }

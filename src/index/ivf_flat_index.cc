@@ -158,13 +158,14 @@ IndexMemoryStats IvfFlatIndex::memory_stats() const {
   return stats;
 }
 
-StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
-                                                     size_t k, int exclude_id,
-                                                     float floor) const {
+Status IvfFlatIndex::SearchInto(const float* query, int exclude_id,
+                                const UpsertBuffer* shadow,
+                                TopKAccumulator* acc) const {
   if (!trained_) {
     return Status::FailedPrecondition("IvfFlatIndex::Train must run first");
   }
-  if (k == 0) return Status::InvalidArgument("k must be positive");
+  const size_t k = acc->k() + (shadow == nullptr ? 0 : shadow->size());
+  if (k == 0) return Status::OK();
 
   const quant::RowStore::Query q = encoder_.PrepareQuery(query);
 
@@ -177,15 +178,16 @@ StatusOr<std::vector<Neighbor>> IvfFlatIndex::Search(const float* query,
   const size_t nprobe = std::min(options_.nprobe, nlist);
   std::partial_sort(order.begin(), order.begin() + nprobe, order.end());
 
-  TopKAccumulator acc(k, floor);
+  TopKAccumulator hits(k, acc->Floor());
   for (size_t p = 0; p < nprobe; ++p) {
     const List& l = lists_[order[p].second];
     for (size_t i = 0; i < l.ids.size(); ++i) {
       if (l.ids[i] == exclude_id) continue;
-      acc.Offer(l.ids[i], l.rows.Score(q, i));
+      hits.Offer(l.ids[i], l.rows.Score(q, i));
     }
   }
-  return acc.Take();
+  OfferUnshadowed(hits.Take(), shadow, acc);
+  return Status::OK();
 }
 
 // Payload layout:

@@ -10,7 +10,6 @@ namespace {
 // Scores are filtered this many at a time, so a block's appends always fit
 // in the write space MakeRoom guarantees.
 constexpr size_t kBlock = 256;
-constexpr size_t kGroup = 16;
 
 static_assert(sizeof(Neighbor) == sizeof(uint64_t));
 
@@ -108,49 +107,31 @@ void TopKAccumulator::Compact() {
   threshold_ = buf_[k_ - 1].score;
 }
 
-template <typename IdAt>
-void TopKAccumulator::AppendAtOrAbove(IdAt id_at, const float* scores,
-                                      size_t n, int exclude_id) {
+template <typename Filter>
+void TopKAccumulator::AppendAtOrAbove(size_t n, Filter filter) {
   if (k_ == 0) return;
   for (size_t lo = 0; lo < n; lo += kBlock) {
     const size_t len = std::min(kBlock, n - lo);
     MakeRoom(len);
-    // Every row is written to the next free slot and the slot is claimed
-    // only when the row passes, so the loop has no data-dependent branch.
-    // A group of kGroup rows all below the threshold (most of them, once
-    // it has risen) is skipped after counting its passes.
-    Neighbor* out = buf_.data();
-    const float t = threshold_;
-    const float* s = scores + lo;
-    size_t m = n_;
-    for (size_t g = 0; g < len; g += kGroup) {
-      const size_t glen = std::min(kGroup, len - g);
-      if (glen == kGroup) {
-        int passed = 0;
-        for (size_t j = 0; j < kGroup; ++j) passed += s[g + j] >= t;
-        if (passed == 0) continue;
-      }
-      for (size_t j = g; j < g + glen; ++j) {
-        const int id = id_at(lo + j);
-        out[m] = {id, s[j]};
-        m += static_cast<size_t>((s[j] >= t) & (id != exclude_id));
-      }
-    }
-    n_ = m;
+    n_ += filter(lo, len, buf_.data() + n_);
   }
 }
 
 void TopKAccumulator::OfferBlock(const int* ids, const float* scores,
                                  size_t n, int exclude_id) {
-  AppendAtOrAbove([ids](size_t j) { return ids[j]; }, scores, n,
-                  exclude_id);
+  AppendAtOrAbove(n, [&](size_t lo, size_t len, Neighbor* out) {
+    return simd::FilterAtOrAbove(ids + lo, scores + lo, len, threshold_,
+                                 exclude_id, out);
+  });
 }
 
 void TopKAccumulator::OfferDense(int first_id, const float* scores,
                                  size_t n) {
-  AppendAtOrAbove(
-      [first_id](size_t j) { return first_id + static_cast<int>(j); },
-      scores, n, /*exclude_id=*/-1);
+  AppendAtOrAbove(n, [&](size_t lo, size_t len, Neighbor* out) {
+    return simd::FilterAtOrAboveDense(first_id + static_cast<int>(lo),
+                                      scores + lo, len, threshold_,
+                                      /*exclude_id=*/-1, out);
+  });
 }
 
 float TopKAccumulator::Floor() {
@@ -166,6 +147,25 @@ std::vector<Neighbor> TopKAccumulator::Take() {
   buf_.clear();
   n_ = 0;
   return out;
+}
+
+StatusOr<std::vector<Neighbor>> VectorIndex::Search(const float* query,
+                                                    size_t k, int exclude_id,
+                                                    float floor) const {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  TopKAccumulator acc(k, floor);
+  SCCF_RETURN_NOT_OK(SearchInto(query, exclude_id, /*shadow=*/nullptr, &acc));
+  return acc.Take();
+}
+
+void VectorIndex::OfferUnshadowed(const std::vector<Neighbor>& hits,
+                                  const UpsertBuffer* shadow,
+                                  TopKAccumulator* acc) {
+  for (const Neighbor& nb : hits) {
+    if (shadow == nullptr || !shadow->contains(nb.id)) {
+      acc->Offer(nb.id, nb.score);
+    }
+  }
 }
 
 void UpsertBuffer::Put(int id, const float* vec) {

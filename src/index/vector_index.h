@@ -8,6 +8,7 @@
 
 #include "quant/row_store.h"
 #include "quant/sq8.h"
+#include "simd/kernels.h"
 #include "util/status.h"
 
 namespace sccf::index {
@@ -17,10 +18,9 @@ namespace sccf::index {
 enum class Metric { kInnerProduct, kCosine };
 
 /// One search hit: external id plus similarity score (higher is better).
-struct Neighbor {
-  int id = -1;
-  float score = 0.0f;
-};
+/// Defined in the simd layer, whose threshold filter writes these 8-byte
+/// words straight into the top-k selector's buffer.
+using Neighbor = simd::Neighbor;
 
 /// Bytes and structural debt a backend currently holds, split by
 /// representation so operators can see what a storage-mode switch buys.
@@ -34,6 +34,9 @@ struct IndexMemoryStats {
   size_t tombstones = 0;
 };
 
+class TopKAccumulator;
+class UpsertBuffer;
+
 /// Dynamic nearest-neighbor index over float vectors, the substrate the
 /// SCCF user-based component queries to identify each user's neighborhood
 /// in real time (paper Sec. III-C; the role Faiss plays in the original
@@ -44,10 +47,10 @@ struct IndexMemoryStats {
 /// Concurrency contract (audited for all three backends — BruteForce,
 /// HNSW, IVF-Flat): implementations are NOT internally synchronized.
 ///
-///  - Concurrent const calls (`Search`, `size`, `dim`, `metric`) are
-///    safe with each other: every backend keeps its query scratch
-///    (normalised query copies, visited sets, accumulators) in locals,
-///    with no `mutable` members.
+///  - Concurrent const calls (`SearchInto`, `Search`, `size`, `dim`,
+///    `metric`) are safe with each other: every backend keeps its query
+///    scratch (normalised query copies, visited sets, accumulators) in
+///    locals or in the caller's accumulator, with no `mutable` members.
 ///  - Mutations — `Add`, `IvfFlatIndex::Train`, and the non-const tuning
 ///    setters (`HnswIndex::set_ef_search`, `IvfFlatIndex::set_nprobe`) —
 ///    require exclusive access: no other call, const or not, may run
@@ -65,11 +68,13 @@ struct IndexMemoryStats {
 /// every intermediate `Add`, minus the per-call structural churn (HNSW
 /// tombstone + reinsert, IVF posting reassignment, brute-force row
 /// rewrites). Queries issued between compactions must merge the buffer's
-/// contents with `Search` results themselves (staged ids shadow their
-/// stale indexed entry; staged-but-never-indexed ids are cold-start
-/// inserts). When a compaction point fires is the *caller's* policy, not
-/// this contract's: `core::RealTimeService` applies the discipline per
-/// shard and drains on any of a count threshold
+/// contents with the index's rows themselves: `SearchInto` takes the
+/// buffer as a shadow set (staged ids shadow their stale indexed entry)
+/// and `UpsertBuffer::OfferTo` offers the staged rows, including
+/// staged-but-never-indexed ids (cold-start inserts). When a compaction
+/// point fires is the *caller's* policy, not this contract's:
+/// `core::RealTimeService` applies the discipline per shard and drains on
+/// any of a count threshold
 /// (`Options::compaction_threshold`), a wall-clock age bound
 /// (`Options::compaction_interval_ms`, checked on its ingest and query
 /// paths), a background compaction sweep
@@ -92,15 +97,30 @@ class VectorIndex {
   /// exclusive access like Add.
   virtual Status Remove(int id) = 0;
 
+  /// Offers this index's rows, scored by similarity to `query`, to the
+  /// caller's selector `acc`, so that several indexes (one per shard) feed
+  /// one top-k. `exclude_id` (if >= 0) is never offered — the paper
+  /// excludes the user herself from N_u. Neither is any id `shadow` holds
+  /// (null for none): a staged id's indexed row is stale, and the caller
+  /// offers the staged row instead (UpsertBuffer::OfferTo). Brute force
+  /// offers every other row. HNSW and IVF offer the hits of their own
+  /// search for acc->k() + shadow->size() ids at or above acc->Floor(),
+  /// minus the shadowed ones, so dropping those never leaves fewer than
+  /// acc->k() candidates from this index.
+  virtual Status SearchInto(const float* query, int exclude_id,
+                            const UpsertBuffer* shadow,
+                            TopKAccumulator* acc) const = 0;
+
   /// Top-k ids by similarity to `query`, descending. `exclude_id` (if >= 0)
   /// is never returned — the paper excludes the user herself from N_u.
   /// Returns fewer than k results when the index is smaller. Rows scoring
   /// below `floor` are never returned either: a caller merging several
   /// searches passes the k-th score it already holds, so a later search
-  /// skips rows that cannot enter the merged top-k.
-  virtual StatusOr<std::vector<Neighbor>> Search(
+  /// skips rows that cannot enter the merged top-k. SearchInto into a
+  /// fresh TopKAccumulator(k, floor), then Take().
+  StatusOr<std::vector<Neighbor>> Search(
       const float* query, size_t k, int exclude_id = -1,
-      float floor = -std::numeric_limits<float>::infinity()) const = 0;
+      float floor = -std::numeric_limits<float>::infinity()) const;
 
   virtual size_t size() const = 0;
   virtual size_t dim() const = 0;
@@ -128,6 +148,13 @@ class VectorIndex {
   /// options as the serializing one. Structure is validated before any
   /// member is mutated: on error the index is unchanged.
   virtual Status DeserializeFrom(std::string_view in) = 0;
+
+ protected:
+  /// SearchInto's last step for HNSW and IVF: offers `hits`, the backend's
+  /// own top acc->k() + shadow->size(), minus the ids `shadow` holds.
+  static void OfferUnshadowed(const std::vector<Neighbor>& hits,
+                              const UpsertBuffer* shadow,
+                              TopKAccumulator* acc);
 };
 
 /// The one order of every top-k result: descending score, ties broken by
@@ -140,21 +167,24 @@ inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
 /// Exact top-k selection: the k best candidates by NeighborBefore among
 /// those offered, whatever order they arrive in. Every top-k in the repo
 /// goes through it: the brute-force scan, HNSW, IVF, the staged-buffer
-/// merge, the cross-shard fan-out and the Eq. 12 vote.
+/// merge, the cross-shard fan-out (one selector that every shard's scan
+/// offers into) and the Eq. 12 vote.
 ///
 /// Candidates scoring at or above a running threshold are appended to a
 /// buffer; once it holds 2k of them it is cut back to the k best by a
 /// branchless quickselect and the threshold rises to the k-th score. A
-/// block offer compares each score with the threshold and appends without
-/// a data-dependent branch; a group of 16 scores all below it is skipped
-/// after the compares. Take finishes with one sort. The threshold admits
-/// scores equal to it, since a tie with a smaller id still beats the
-/// current k-th. NaN scores are never kept.
+/// block offer runs the SIMD threshold filter (simd::FilterAtOrAbove),
+/// which appends the passing rows straight into the buffer's write space.
+/// Take finishes with one sort. The threshold admits scores equal to it,
+/// since a tie with a smaller id still beats the current k-th. NaN scores
+/// are never kept.
 class TopKAccumulator {
  public:
   /// Candidates scoring below `floor` are never kept.
   explicit TopKAccumulator(
       size_t k, float floor = -std::numeric_limits<float>::infinity());
+
+  size_t k() const { return k_; }
 
   void Offer(int id, float score) {
     if (score >= threshold_) Push(id, score);
@@ -184,9 +214,10 @@ class TopKAccumulator {
   /// Keeps the k best of the n_ held (n_ >= k) and raises the threshold to
   /// the k-th score.
   void Compact();
-  template <typename IdAt>
-  void AppendAtOrAbove(IdAt id_at, const float* scores, size_t n,
-                       int exclude_id);
+  /// Runs filter(lo, len, out) over [0, n) in blocks that fit the write
+  /// space MakeRoom guarantees; filter returns how many it appended.
+  template <typename Filter>
+  void AppendAtOrAbove(size_t n, Filter filter);
 
   size_t k_;
   float threshold_;
@@ -198,7 +229,8 @@ class TopKAccumulator {
 /// half of the buffered-upsert contract documented on VectorIndex. Callers
 /// stage (id, vector) pairs with Put (re-staging an id overwrites its row
 /// in place, so only the final vector survives to the flush), answer
-/// queries by combining OfferTo with the backend's Search results, and
+/// queries by passing the buffer to the backend's SearchInto as its
+/// shadow set and offering the staged rows with OfferTo, and
 /// flush with DrainTo at their compaction point.
 ///
 /// Each staged row is kept twice. The raw copy is exactly the bytes a
@@ -245,8 +277,8 @@ class UpsertBuffer {
 
   /// Scores every staged vector against `query` under the buffer's metric
   /// and offers (id, score) to `acc`, skipping `exclude_id`. Together with
-  /// offering the backend's Search hits (minus ids `contains` shadows)
-  /// into the same accumulator, this yields the fresh merged top-k.
+  /// the backend's SearchInto with this buffer as its shadow set, into
+  /// the same accumulator, this yields the fresh merged top-k.
   void OfferTo(const float* query, int exclude_id,
                TopKAccumulator* acc) const;
 

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "simd/kernels.h"
+
 namespace sccf::simd::internal {
 
 /// Function-pointer table for one SIMD variant. The dispatcher in
@@ -34,6 +36,14 @@ struct KernelTable {
   /// register-blocked like dot_batch.
   void (*dot_batch_i8)(const float* q, const int8_t* base, size_t count,
                        size_t dim, float* out);
+  /// FilterAtOrAbove and FilterAtOrAboveDense (kernels.h): every variant
+  /// writes the same entries in the same order and returns the same count.
+  size_t (*filter_at_or_above)(const int* ids, const float* scores, size_t n,
+                               float threshold, int exclude_id,
+                               Neighbor* out);
+  size_t (*filter_at_or_above_dense)(int first_id, const float* scores,
+                                     size_t n, float threshold,
+                                     int exclude_id, Neighbor* out);
 };
 
 /// Always available; the reference implementation every variant must match.

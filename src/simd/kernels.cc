@@ -75,12 +75,51 @@ void DotBatchI8Scalar(const float* q, const int8_t* base, size_t count,
   }
 }
 
+// Every row is written to the next free entry and the entry is claimed
+// only when the row passes, so the loop has no data-dependent branch. A
+// group of 16 rows all below the threshold (most of them, once a top-k
+// threshold has risen) is skipped after counting its passes.
+template <bool kDense>
+size_t FilterScalar(const int* ids, int first_id, const float* scores,
+                    size_t n, float threshold, int exclude_id,
+                    Neighbor* out) {
+  constexpr size_t kGroup = 16;
+  size_t m = 0;
+  for (size_t g = 0; g < n; g += kGroup) {
+    const size_t glen = std::min(kGroup, n - g);
+    if (glen == kGroup) {
+      int passed = 0;
+      for (size_t j = g; j < g + kGroup; ++j) passed += scores[j] >= threshold;
+      if (passed == 0) continue;
+    }
+    for (size_t j = g; j < g + glen; ++j) {
+      const int id = kDense ? first_id + static_cast<int>(j) : ids[j];
+      out[m] = {id, scores[j]};
+      m += static_cast<size_t>((scores[j] >= threshold) & (id != exclude_id));
+    }
+  }
+  return m;
+}
+
+size_t FilterAtOrAboveScalar(const int* ids, const float* scores, size_t n,
+                             float threshold, int exclude_id, Neighbor* out) {
+  return FilterScalar<false>(ids, 0, scores, n, threshold, exclude_id, out);
+}
+
+size_t FilterAtOrAboveDenseScalar(int first_id, const float* scores,
+                                  size_t n, float threshold, int exclude_id,
+                                  Neighbor* out) {
+  return FilterScalar<true>(nullptr, first_id, scores, n, threshold,
+                            exclude_id, out);
+}
+
 }  // namespace
 
 const KernelTable* ScalarTable() {
   static const KernelTable table = {
       &DotScalar, &SquaredL2Scalar, &AxpyScalar, &DotBatchScalar,
-      &DotI8Scalar, &DotBatchI8Scalar,
+      &DotI8Scalar, &DotBatchI8Scalar, &FilterAtOrAboveScalar,
+      &FilterAtOrAboveDenseScalar,
   };
   return &table;
 }
@@ -97,9 +136,12 @@ bool CpuSupports(Variant v) {
     case Variant::kScalar:
       return true;
     case Variant::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+      return __builtin_cpu_supports("avx2") &&
+             __builtin_cpu_supports("fma") &&
+             __builtin_cpu_supports("popcnt");
     case Variant::kAvx512:
-      return __builtin_cpu_supports("avx512f");
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("popcnt");
   }
   return false;
 #else
@@ -268,6 +310,18 @@ float DotI8(const float* q, const int8_t* c, size_t n) {
 void DotBatchI8(const float* q, const int8_t* base, size_t count,
                 size_t dim, float* out) {
   ActiveTable().dot_batch_i8(q, base, count, dim, out);
+}
+
+size_t FilterAtOrAbove(const int* ids, const float* scores, size_t n,
+                       float threshold, int exclude_id, Neighbor* out) {
+  return ActiveTable().filter_at_or_above(ids, scores, n, threshold,
+                                          exclude_id, out);
+}
+
+size_t FilterAtOrAboveDense(int first_id, const float* scores, size_t n,
+                            float threshold, int exclude_id, Neighbor* out) {
+  return ActiveTable().filter_at_or_above_dense(first_id, scores, n,
+                                                threshold, exclude_id, out);
 }
 
 float CosineI8(const float* q, const int8_t* c, size_t n, float scale,

@@ -9,7 +9,8 @@
 /// Runtime-dispatched SIMD similarity kernels.
 ///
 /// Everything hot in the serving path — brute-force scans, IVF centroid
-/// ranking, HNSW edge scoring, UI dot-product scoring — funnels through
+/// ranking, HNSW edge scoring, UI dot-product scoring, the top-k
+/// selector's threshold filter — funnels through
 /// this layer. Three variants (scalar, AVX2+FMA, AVX-512F) are compiled
 /// into separate translation units; a function-pointer table is resolved
 /// once at startup from CPUID, overridable with SCCF_SIMD=scalar|avx2|
@@ -94,6 +95,31 @@ void DotBatchI8(const float* q, const int8_t* base, size_t count,
 /// identical across variants up to FP reassociation of the raw dot.
 float CosineI8(const float* q, const int8_t* c, size_t n, float scale,
                float offset, float qsum);
+
+/// ---- Top-k threshold filter -------------------------------------------
+///
+/// The top-k selector (index::TopKAccumulator) appends every candidate
+/// scoring at or above its running threshold to a buffer. These kernels
+/// are that append for a block of scored rows.
+
+/// One scored candidate: an 8-byte word, id first. index::Neighbor is
+/// this type.
+struct Neighbor {
+  int id = -1;
+  float score = 0.0f;
+};
+
+/// Writes {ids[j], scores[j]} to `out`, in input order, for every j in
+/// [0, n) with scores[j] >= threshold and ids[j] != exclude_id, and
+/// returns how many it wrote. A NaN score never passes. `out` must have
+/// room for n entries: a variant may store whole vectors anywhere in
+/// out[0, n), so the entries past the returned count are unspecified.
+size_t FilterAtOrAbove(const int* ids, const float* scores, size_t n,
+                       float threshold, int exclude_id, Neighbor* out);
+
+/// FilterAtOrAbove with ids[j] = first_id + j.
+size_t FilterAtOrAboveDense(int first_id, const float* scores, size_t n,
+                            float threshold, int exclude_id, Neighbor* out);
 
 }  // namespace sccf::simd
 

@@ -1,17 +1,18 @@
-// AVX-512F variant of the kernel table, compiled with -mavx512f only (see
-// CMakeLists.txt); remainders use masked loads/stores so there is no
-// scalar tail. Nothing here may be called unless the dispatcher verified
-// CPUID support; without compiler support the table degrades to nullptr.
+// AVX-512F variant of the kernel table, compiled with -mavx512f and
+// -mpopcnt only (see CMakeLists.txt); remainders use masked loads/stores
+// so there is no scalar tail. Nothing here may be called unless the
+// dispatcher verified CPUID support; without compiler support the table
+// degrades to nullptr.
 
 #include "simd/kernel_table.h"
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__POPCNT__)
 #include <immintrin.h>
 #endif
 
 namespace sccf::simd::internal {
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__POPCNT__)
 
 namespace {
 
@@ -181,17 +182,87 @@ void DotBatchI8Avx512(const float* q, const int8_t* base, size_t count,
   for (; r < count; ++r) out[r] = DotI8Avx512(q, base + r * dim, dim);
 }
 
+/// Sixteen scores per step: one compare against the threshold gives the
+/// pass mask, a second drops the excluded id, and permutex2var interleaves
+/// ids and scores into two vectors of eight {id, score} words. Each is
+/// compressed to its passing words, which are stored with one full-width
+/// store; the next store starts right after them and overwrites the rest.
+/// Both stores of a whole step stay inside out[0, n): the first starts at
+/// most at the step's first row and the second at most eight rows later.
+/// The last, partial step writes only the passing words.
+template <bool kDense>
+size_t FilterAvx512(const int* ids, int first_id, const float* scores,
+                    size_t n, float threshold, int exclude_id,
+                    Neighbor* out) {
+  const __m512 t = _mm512_set1_ps(threshold);
+  const __m512i exclude = _mm512_set1_epi32(exclude_id);
+  const __m512i lane =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  // Index i < 16 picks ids lane i, i >= 16 scores lane i - 16.
+  const __m512i lo_pairs = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4,
+                                             20, 5, 21, 6, 22, 7, 23);
+  const __m512i hi_pairs = _mm512_setr_epi32(8, 24, 9, 25, 10, 26, 11, 27,
+                                             12, 28, 13, 29, 14, 30, 15, 31);
+  size_t m = 0;
+  for (size_t j = 0; j < n; j += 16) {
+    const bool whole = j + 16 <= n;
+    const __mmask16 live = whole ? static_cast<__mmask16>(0xFFFF)
+                                 : TailMask(n - j);
+    const __m512 s = _mm512_maskz_loadu_ps(live, scores + j);
+    __mmask16 pass = _mm512_mask_cmp_ps_mask(live, s, t, _CMP_GE_OQ);
+    if (pass == 0) continue;
+    const __m512i id =
+        kDense ? _mm512_add_epi32(
+                     _mm512_set1_epi32(first_id + static_cast<int>(j)), lane)
+               : _mm512_maskz_loadu_epi32(live, ids + j);
+    pass = _mm512_mask_cmpneq_epi32_mask(pass, id, exclude);
+    const __m512i bits = _mm512_castps_si512(s);
+    const __mmask8 pass_lo = static_cast<__mmask8>(pass);
+    const __mmask8 pass_hi = static_cast<__mmask8>(pass >> 8);
+    const __m512i lo = _mm512_maskz_compress_epi64(
+        pass_lo, _mm512_permutex2var_epi32(id, lo_pairs, bits));
+    const __m512i hi = _mm512_maskz_compress_epi64(
+        pass_hi, _mm512_permutex2var_epi32(id, hi_pairs, bits));
+    const size_t n_lo = static_cast<size_t>(_mm_popcnt_u32(pass_lo));
+    const size_t n_hi = static_cast<size_t>(_mm_popcnt_u32(pass_hi));
+    if (whole) {
+      _mm512_storeu_si512(out + m, lo);
+      _mm512_storeu_si512(out + m + n_lo, hi);
+    } else {
+      _mm512_mask_storeu_epi64(out + m,
+                               static_cast<__mmask8>((1u << n_lo) - 1u), lo);
+      _mm512_mask_storeu_epi64(out + m + n_lo,
+                               static_cast<__mmask8>((1u << n_hi) - 1u), hi);
+    }
+    m += n_lo + n_hi;
+  }
+  return m;
+}
+
+size_t FilterAtOrAboveAvx512(const int* ids, const float* scores, size_t n,
+                             float threshold, int exclude_id, Neighbor* out) {
+  return FilterAvx512<false>(ids, 0, scores, n, threshold, exclude_id, out);
+}
+
+size_t FilterAtOrAboveDenseAvx512(int first_id, const float* scores,
+                                  size_t n, float threshold, int exclude_id,
+                                  Neighbor* out) {
+  return FilterAvx512<true>(nullptr, first_id, scores, n, threshold,
+                            exclude_id, out);
+}
+
 }  // namespace
 
 const KernelTable* Avx512Table() {
   static const KernelTable table = {
       &DotAvx512, &SquaredL2Avx512, &AxpyAvx512, &DotBatchAvx512,
-      &DotI8Avx512, &DotBatchI8Avx512,
+      &DotI8Avx512, &DotBatchI8Avx512, &FilterAtOrAboveAvx512,
+      &FilterAtOrAboveDenseAvx512,
   };
   return &table;
 }
 
-#else  // !__AVX512F__
+#else  // !(__AVX512F__ && __POPCNT__)
 
 const KernelTable* Avx512Table() { return nullptr; }
 

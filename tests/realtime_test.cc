@@ -4,16 +4,21 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/realtime.h"
+#include "core/user_based.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "models/fism.h"
+#include "quant/row_store.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace sccf::core {
@@ -302,6 +307,182 @@ TEST_F(RealTimeTest, KthScoreTieIsTheSameStagedOrWrittenThrough) {
     ASSERT_TRUE(nbrs.ok());
     ASSERT_EQ(nbrs->size(), 1u);
     EXPECT_EQ((*nbrs)[0].id, 2) << "compaction_threshold " << threshold;
+  }
+}
+
+// Naive reference for Neighbors(user, beta) on brute-force shards. It
+// decodes each shard's export (its indexed rows and its staged rows),
+// scores every indexed row with RowStore::ScoreBatch over the same
+// 256-row blocks the scan uses and every staged row with RowStore::Score
+// as UpsertBuffer does, so each score is bit-for-bit the fan-out's. It
+// then drops indexed rows whose id is staged and the querying user, sorts
+// everything by (score desc, id asc) and keeps the first beta. No
+// selector, floor or shadow logic of the code under test runs.
+std::vector<index::Neighbor> NaiveNeighbors(const RealTimeService& svc,
+                                            const models::Fism& model,
+                                            int user, size_t beta) {
+  const RealTimeService::Options& opts = svc.options();
+  const size_t d = svc.embedding_dim();
+  const bool cosine = opts.metric == index::Metric::kCosine;
+  auto history = svc.History(user);
+  SCCF_CHECK(history.ok());
+  std::vector<float> query(d);
+  InferRecent(model, *history, opts.infer_window, query.data());
+
+  std::vector<index::Neighbor> all;
+  for (size_t s = 0; s < svc.num_shards(); ++s) {
+    std::string payload;
+    SCCF_CHECK(svc.ExportShard(s, &payload).ok());
+    ByteReader r(payload);
+    uint64_t seq = 0, count = 0, len = 0;
+    int32_t v = 0;
+    SCCF_CHECK(r.ReadFixed64(&seq).ok());
+    SCCF_CHECK(r.ReadFixed64(&count).ok());
+    for (uint64_t e = 0; e < count; ++e) {
+      SCCF_CHECK(r.ReadI32(&v).ok());
+      SCCF_CHECK(r.ReadFixed64(&len).ok());
+      for (uint64_t i = 0; i < len; ++i) SCCF_CHECK(r.ReadI32(&v).ok());
+    }
+    std::string_view blob;
+    SCCF_CHECK(r.ReadLengthPrefixed(&blob).ok());
+    uint64_t num_staged = 0;
+    SCCF_CHECK(r.ReadFixed64(&num_staged).ok());
+    quant::RowStore staged(d, opts.storage, cosine);
+    std::vector<int> staged_ids;
+    for (uint64_t i = 0; i < num_staged; ++i) {
+      std::vector<float> row;
+      SCCF_CHECK(r.ReadI32(&v).ok());
+      SCCF_CHECK(r.ReadFloats(d, &row).ok());
+      staged_ids.push_back(v);
+      staged.Append(row.data());
+    }
+
+    ByteReader b(blob);
+    uint8_t tag = 0, storage = 0, ids_are_slots = 0;
+    uint64_t dim = 0, rows = 0;
+    SCCF_CHECK(b.ReadU8(&tag).ok() && tag == 'B');
+    SCCF_CHECK(b.ReadU8(&storage).ok());
+    SCCF_CHECK(b.ReadU8(&ids_are_slots).ok());
+    SCCF_CHECK(b.ReadFixed64(&dim).ok() && dim == d);
+    SCCF_CHECK(b.ReadFixed64(&rows).ok());
+    std::vector<int> ids(rows);
+    for (uint64_t i = 0; i < rows; ++i) SCCF_CHECK(b.ReadI32(&ids[i]).ok());
+    quant::RowStore indexed(d, opts.storage, cosine);
+    SCCF_CHECK(indexed.ReadMatrix(&b, rows).ok());
+
+    const quant::RowStore::Query iq = indexed.PrepareQuery(query.data());
+    std::vector<float> scores(rows);
+    for (size_t lo = 0; lo < rows; lo += 256) {
+      const size_t n = std::min<size_t>(256, rows - lo);
+      indexed.ScoreBatch(iq, lo, n, scores.data() + lo);
+    }
+    for (size_t i = 0; i < rows; ++i) {
+      const bool shadowed = std::find(staged_ids.begin(), staged_ids.end(),
+                                      ids[i]) != staged_ids.end();
+      if (ids[i] != user && !shadowed) all.push_back({ids[i], scores[i]});
+    }
+    const quant::RowStore::Query sq = staged.PrepareQuery(query.data());
+    for (size_t i = 0; i < staged_ids.size(); ++i) {
+      if (staged_ids[i] != user) {
+        all.push_back({staged_ids[i], staged.Score(sq, i)});
+      }
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const index::Neighbor& a, const index::Neighbor& b) {
+              return a.score != b.score ? a.score > b.score : a.id < b.id;
+            });
+  if (all.size() > beta) all.resize(beta);
+  return all;
+}
+
+// The fan-out offers every shard's rows straight into one selector, with
+// each shard's write buffer as the shadow set. Neighbors must equal the
+// naive reference above id for id and score for score, over 1, 3 and 4
+// shards, fp32 and sq8, written through and staged behind a threshold no
+// batch reaches. The cases are built in: user 1's stale indexed row is
+// the query itself (it would rank first, but its staged row must win);
+// the querying user 0 is staged too and must never appear; and users
+// 2..6 hold identical staged rows, so beta is cut inside their tie.
+TEST_F(RealTimeTest, NeighborsMatchNaiveReferenceOverStagedAndIndexedRows) {
+  constexpr int kQuery = 0, kStale = 1, kTieFirst = 2, kTieLast = 6;
+  const std::vector<int> fresh = {11, 12, 13};  // query's last 3 items
+  std::vector<RealTimeService::UserState> users(split_->num_users());
+  for (size_t u = 0; u < users.size(); ++u) {
+    users[u].user = static_cast<int>(u);
+    const auto h = split_->TrainSequence(u);
+    users[u].history.assign(h.begin(), h.end());
+  }
+  // The stale row: user 1 bootstraps with the query's final window.
+  users[kStale].history.insert(users[kStale].history.end(), fresh.begin(),
+                               fresh.end());
+  std::vector<RealTimeService::Event> events;
+  int64_t ts = 0;
+  for (int item : fresh) events.push_back({kQuery, item, ts++});
+  for (int item : {40, 41, 42}) events.push_back({kStale, item, ts++});
+  for (int u = kTieFirst; u <= kTieLast; ++u) {
+    for (int item : {70, 71, 72}) events.push_back({u, item, ts++});
+  }
+  for (int u = 7; u < 40; u += 3) events.push_back({u, u + 20, ts++});
+
+  for (size_t shards : {1u, 3u, 4u}) {
+    for (quant::Storage storage :
+         {quant::Storage::kFp32, quant::Storage::kSq8}) {
+      for (size_t threshold : {1u, 1000000u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "shards " << shards << " storage "
+                     << quant::StorageName(storage) << " threshold "
+                     << threshold);
+        RealTimeService::Options opts;
+        opts.infer_window = 3;
+        opts.num_shards = shards;
+        opts.storage = storage;
+        opts.compaction_threshold = threshold;
+        RealTimeService svc(*fism_, opts);
+        ASSERT_TRUE(svc.Bootstrap(users).ok());
+        ASSERT_TRUE(svc.OnInteractionBatch(events, /*identify=*/false).ok());
+        const bool staged = threshold > 1;
+        EXPECT_EQ(svc.pending_upserts() > 0, staged);
+
+        const std::vector<index::Neighbor> full =
+            NaiveNeighbors(svc, *fism_, kQuery, users.size());
+        ASSERT_EQ(full.size(), users.size() - 1);
+        // Cut beta two places into the tie group; staged rows are scored
+        // by one kernel, so the tie is exact there.
+        size_t first_tie = full.size();
+        for (size_t i = 0; i < full.size(); ++i) {
+          if (full[i].id >= kTieFirst && full[i].id <= kTieLast) {
+            first_tie = i;
+            break;
+          }
+        }
+        ASSERT_LT(first_tie + 2, full.size());
+        const size_t cut = first_tie + 2;
+        if (staged) {
+          ASSERT_EQ(full[cut - 1].score, full[cut].score);
+          EXPECT_NE(full[0].id, kStale);
+        }
+        for (size_t beta : {size_t{1}, size_t{10}, cut, full.size()}) {
+          auto got = svc.Neighbors(kQuery, beta);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          const std::vector<index::Neighbor> want =
+              NaiveNeighbors(svc, *fism_, kQuery, beta);
+          ASSERT_EQ(got->size(), want.size()) << "beta " << beta;
+          std::set<int> seen;
+          for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ((*got)[i].id, want[i].id)
+                << "beta " << beta << " rank " << i;
+            EXPECT_EQ(std::memcmp(&(*got)[i].score, &want[i].score,
+                                  sizeof(float)),
+                      0)
+                << "beta " << beta << " rank " << i;
+            EXPECT_TRUE(seen.insert((*got)[i].id).second)
+                << "duplicate id " << (*got)[i].id;
+            EXPECT_NE((*got)[i].id, kQuery);
+          }
+        }
+      }
+    }
   }
 }
 

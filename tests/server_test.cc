@@ -299,18 +299,28 @@ TEST_F(ServerTest, LoopbackBitIdenticalToDirectDispatch) {
   }
 
   // Same script again, pipelined in one write and framed inline, to pin
-  // framing-independence of the replies.
+  // framing-independence of the replies. It runs kRounds times over, so
+  // the reactor writes the pipeline's replies out at its 64 KiB flush
+  // point many times before the last command has executed.
+  constexpr int kRounds = 256;
   std::string pipeline;
   std::vector<std::string> expected;
-  for (const Command& cmd : script) {
-    pipeline += cmd.name;
-    for (const std::string& arg : cmd.args) pipeline += " " + arg;
-    pipeline += "\r\n";
-    expected.push_back(Dispatch(*twin, cmd));
+  size_t expected_bytes = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const Command& cmd : script) {
+      pipeline += cmd.name;
+      for (const std::string& arg : cmd.args) pipeline += " " + arg;
+      pipeline += "\r\n";
+      expected.push_back(Dispatch(*twin, cmd));
+      expected_bytes += expected.back().size();
+    }
   }
+  ASSERT_GT(expected_bytes, size_t{4} << 16);
   client.Send(pipeline);
-  for (size_t i = 0; i < script.size(); ++i) {
-    EXPECT_EQ(client.ReadReply(), expected[i]) << script[i].name;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(client.ReadReply(), expected[i])
+        << script[i % script.size()].name << " round "
+        << i / script.size();
   }
 
   server.Shutdown();

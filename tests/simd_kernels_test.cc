@@ -2,8 +2,9 @@
 // (src/simd). Every variant the build+CPU supports must match the scalar
 // reference within 1e-5 across odd/even/remainder lengths (int8 kernels:
 // within 2e-7 of the products' L1 mass — see ExpectWithinI8), the
-// zero-norm cosine guard must hold for every variant, and the SCCF_SIMD
-// override must actually steer dispatch.
+// zero-norm cosine guard must hold for every variant, the top-k threshold
+// filter must write exactly the scalar variant's entries, and the
+// SCCF_SIMD override must actually steer dispatch.
 
 #include "simd/kernels.h"
 
@@ -12,6 +13,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include "util/random.h"
@@ -271,6 +275,98 @@ TEST_F(SimdKernelsTest, CosineI8ZeroNormAndZeroScaleRows) {
         qsum * 0.7f /
         (Norm(q.data(), n) * 0.7f * std::sqrt(static_cast<float>(n)));
     EXPECT_NEAR(got, want, 1e-5f) << VariantName(v);
+  }
+}
+
+// Scores drawn from a pool that hits every edge of the threshold compare:
+// exactly the threshold, its float neighbours on both sides, +-inf and
+// NaN, mixed with ordinary values.
+std::vector<float> FilterScores(Rng& rng, size_t n, float threshold) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {threshold,
+                        std::nextafter(threshold, -inf),
+                        std::nextafter(threshold, inf),
+                        inf,
+                        -inf,
+                        std::numeric_limits<float>::quiet_NaN()};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const size_t pick = rng.Uniform(12);
+    x = pick < 6 ? pool[pick] : 2.0f * rng.UniformFloat() - 1.0f;
+  }
+  return v;
+}
+
+// The filter's contract, written out: (id, score) pairs in input order.
+std::vector<Neighbor> FilterReference(const std::vector<int>& ids,
+                                      const std::vector<float>& scores,
+                                      float threshold, int exclude_id) {
+  std::vector<Neighbor> out;
+  for (size_t j = 0; j < scores.size(); ++j) {
+    if (scores[j] >= threshold && ids[j] != exclude_id) {
+      out.push_back({ids[j], scores[j]});
+    }
+  }
+  return out;
+}
+
+// Every variant writes the scalar variant's entries — the same count, the
+// same ids and the same score bits, in input order — for every length
+// 0..257 (each remainder of the 8- and 16-wide steps), both id forms, the
+// excluded id inside and outside the block, and thresholds of -inf, an
+// ordinary value and +inf. `out` holds exactly n entries, so a variant's
+// full-width store past it is a heap overflow under ASan.
+TEST_F(SimdKernelsTest, FilterAtOrAboveMatchesScalarForEveryVariant) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(77);
+  for (size_t n = 0; n <= 257; ++n) {
+    for (float threshold : {-inf, 0.25f, inf}) {
+      const std::vector<float> scores = FilterScores(rng, n, threshold);
+      std::vector<int> ids(n);
+      for (auto& id : ids) id = static_cast<int>(rng.Uniform(1000));
+      constexpr int kFirst = 4000;
+      std::vector<int> dense_ids(n);
+      for (size_t j = 0; j < n; ++j) {
+        dense_ids[j] = kFirst + static_cast<int>(j);
+      }
+      const int inside = n == 0 ? 0 : static_cast<int>(rng.Uniform(n));
+      for (int pick = 0; pick < 2; ++pick) {
+        const bool in_block = pick == 0 && n > 0;
+        const int exclude = in_block ? ids[inside] : -1;
+        const int exclude_dense = in_block ? dense_ids[inside] : -1;
+        const std::vector<Neighbor> want =
+            FilterReference(ids, scores, threshold, exclude);
+        const std::vector<Neighbor> want_dense =
+            FilterReference(dense_ids, scores, threshold, exclude_dense);
+        for (Variant v : SupportedVariants()) {
+          ASSERT_TRUE(ForceVariant(v).ok());
+          std::vector<Neighbor> got(n);
+          got.resize(FilterAtOrAbove(ids.data(), scores.data(), n,
+                                     threshold, exclude, got.data()));
+          std::vector<Neighbor> got_dense(n);
+          got_dense.resize(FilterAtOrAboveDense(kFirst, scores.data(), n,
+                                                threshold, exclude_dense,
+                                                got_dense.data()));
+          for (const auto& [form, g, w] :
+               {std::tuple{"ids", &got, &want},
+                std::tuple{"dense", &got_dense, &want_dense}}) {
+            ASSERT_EQ(g->size(), w->size())
+                << form << " n=" << n << " threshold=" << threshold
+                << " in_block=" << in_block << " variant=" << VariantName(v);
+            for (size_t i = 0; i < w->size(); ++i) {
+              EXPECT_EQ((*g)[i].id, (*w)[i].id)
+                  << form << " n=" << n << " entry " << i << " variant="
+                  << VariantName(v);
+              EXPECT_EQ(std::memcmp(&(*g)[i].score, &(*w)[i].score,
+                                    sizeof(float)),
+                        0)
+                  << form << " n=" << n << " entry " << i << " variant="
+                  << VariantName(v);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
