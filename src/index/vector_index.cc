@@ -129,8 +129,7 @@ void TopKAccumulator::OfferDense(int first_id, const float* scores,
                                  size_t n) {
   AppendAtOrAbove(n, [&](size_t lo, size_t len, Neighbor* out) {
     return simd::FilterAtOrAboveDense(first_id + static_cast<int>(lo),
-                                      scores + lo, len, threshold_,
-                                      /*exclude_id=*/-1, out);
+                                      scores + lo, len, threshold_, out);
   });
 }
 
@@ -150,10 +149,10 @@ std::vector<Neighbor> TopKAccumulator::Take() {
 }
 
 StatusOr<std::vector<Neighbor>> VectorIndex::Search(const float* query,
-                                                    size_t k, int exclude_id,
-                                                    float floor) const {
+                                                    size_t k,
+                                                    int exclude_id) const {
   if (k == 0) return Status::InvalidArgument("k must be positive");
-  TopKAccumulator acc(k, floor);
+  TopKAccumulator acc(k);
   SCCF_RETURN_NOT_OK(SearchInto(query, exclude_id, /*shadow=*/nullptr, &acc));
   return acc.Take();
 }

@@ -113,14 +113,10 @@ class VectorIndex {
 
   /// Top-k ids by similarity to `query`, descending. `exclude_id` (if >= 0)
   /// is never returned — the paper excludes the user herself from N_u.
-  /// Returns fewer than k results when the index is smaller. Rows scoring
-  /// below `floor` are never returned either: a caller merging several
-  /// searches passes the k-th score it already holds, so a later search
-  /// skips rows that cannot enter the merged top-k. SearchInto into a
-  /// fresh TopKAccumulator(k, floor), then Take().
-  StatusOr<std::vector<Neighbor>> Search(
-      const float* query, size_t k, int exclude_id = -1,
-      float floor = -std::numeric_limits<float>::infinity()) const;
+  /// Returns fewer than k results when the index is smaller. SearchInto
+  /// into a fresh TopKAccumulator(k), then Take().
+  StatusOr<std::vector<Neighbor>> Search(const float* query, size_t k,
+                                         int exclude_id = -1) const;
 
   virtual size_t size() const = 0;
   virtual size_t dim() const = 0;

@@ -399,6 +399,7 @@ void Server::ConnectionReadable(Connection& conn) {
 bool Server::ExecuteParsed(Connection& conn) {
   Command command;
   std::string error;
+  size_t flush_at = kFlushBytes;  // pending bytes that trigger a write
   // A connection holding a deferred BGSAVE reply stops parsing: its
   // later pipelined requests stay buffered until the completion lands,
   // which preserves per-connection reply order by construction.
@@ -466,9 +467,13 @@ bool Server::ExecuteParsed(Connection& conn) {
       CloseConnection(conn.fd);
       return false;
     }
-    if (conn.out.size() - conn.out_offset >= kFlushBytes &&
-        !FlushPending(conn)) {
-      return false;
+    // A flush that finds the socket full leaves bytes pending; the next
+    // try waits until another kFlushBytes are appended, so a pipeline
+    // behind a full socket costs one failed write per kFlushBytes of
+    // replies, not one per command.
+    if (conn.out.size() - conn.out_offset >= flush_at) {
+      if (!FlushPending(conn)) return false;
+      flush_at = conn.out.size() - conn.out_offset + kFlushBytes;
     }
   }
   return true;
@@ -564,6 +569,7 @@ void Server::AccountAppended(size_t before_size, size_t after_size) {
 }
 
 bool Server::FlushPending(Connection& conn) {
+  const size_t offset_before = conn.out_offset;
   while (conn.out_offset < conn.out.size()) {
     const ssize_t w = sys::Write(conn.fd, conn.out.data() + conn.out_offset,
                                  conn.out.size() - conn.out_offset);
@@ -578,6 +584,13 @@ bool Server::FlushPending(Connection& conn) {
     CloseConnection(conn.fd);  // EPIPE/ECONNRESET/...
     return false;
   }
+  // The stall clock measures *lack of progress*, not backlog age: any
+  // written byte resets it, whichever caller wrote it.
+  if (options_.write_stall_timeout_ms > 0 &&
+      conn.out_offset != offset_before) {
+    conn.stall_deadline_ns =
+        NowNs() + options_.write_stall_timeout_ms * 1'000'000;
+  }
   if (conn.out_offset == conn.out.size()) {
     conn.out.clear();
     conn.out_offset = 0;
@@ -586,9 +599,7 @@ bool Server::FlushPending(Connection& conn) {
 }
 
 void Server::ConnectionWritable(Connection& conn) {
-  const size_t offset_before = conn.out_offset;
   if (!FlushPending(conn)) return;
-  const bool progressed = conn.out_offset != offset_before;
   if (conn.out.empty()) {
     if ((conn.close_after_flush || conn.read_closed) &&
         !conn.awaiting_bgsave) {
@@ -597,18 +608,14 @@ void Server::ConnectionWritable(Connection& conn) {
     }
   }
   if (options_.write_stall_timeout_ms > 0 &&
-      conn.out_offset < conn.out.size()) {
-    // The stall clock measures *lack of progress*, not backlog age: any
-    // written byte (or a fresh backlog) resets it.
-    if (progressed || !conn.stall_armed) {
-      conn.stall_deadline_ns =
-          NowNs() + options_.write_stall_timeout_ms * 1'000'000;
-    }
-    if (!conn.stall_armed) {
-      wheel_.Arm(conn.fd, TimerWheel::Kind::kWriteStall,
-                 conn.stall_deadline_ns);
-      conn.stall_armed = true;
-    }
+      conn.out_offset < conn.out.size() && !conn.stall_armed) {
+    // A fresh backlog starts a full window (FlushPending refreshes it
+    // on every write that makes progress).
+    conn.stall_deadline_ns =
+        NowNs() + options_.write_stall_timeout_ms * 1'000'000;
+    wheel_.Arm(conn.fd, TimerWheel::Kind::kWriteStall,
+               conn.stall_deadline_ns);
+    conn.stall_armed = true;
   }
   UpdateInterest(conn);
 }

@@ -181,14 +181,15 @@ class Server {
   /// Writes until EAGAIN or the buffer empties; updates EPOLLOUT
   /// interest; closes when flushed and the connection is finished.
   void ConnectionWritable(Connection& conn);
-  /// Writes until EAGAIN or the buffer empties, and restarts an emptied
-  /// buffer. Returns false if a write error closed (and destroyed) `conn`.
+  /// Writes until EAGAIN or the buffer empties, refreshes the write-stall
+  /// deadline if it wrote anything, and restarts an emptied buffer.
+  /// Returns false if a write error closed (and destroyed) `conn`.
   bool FlushPending(Connection& conn);
   /// Drains the parser and executes every complete frame, writing the
-  /// replies out whenever kFlushBytes of them are pending. Returns false
-  /// if it closed (and thereby destroyed) `conn` — the slow-consumer
-  /// cut or a write error — in which case the caller must not touch
-  /// `conn` again.
+  /// replies out whenever kFlushBytes more of them are pending than the
+  /// last write left behind. Returns false if it closed (and thereby
+  /// destroyed) `conn` — the slow-consumer cut or a write error — in
+  /// which case the caller must not touch `conn` again.
   bool ExecuteParsed(Connection& conn);
   void UpdateInterest(Connection& conn);
   void CloseConnection(int fd);

@@ -43,7 +43,7 @@ struct KernelTable {
                                Neighbor* out);
   size_t (*filter_at_or_above_dense)(int first_id, const float* scores,
                                      size_t n, float threshold,
-                                     int exclude_id, Neighbor* out);
+                                     Neighbor* out);
 };
 
 /// Always available; the reference implementation every variant must match.

@@ -107,10 +107,9 @@ size_t FilterAtOrAboveScalar(const int* ids, const float* scores, size_t n,
 }
 
 size_t FilterAtOrAboveDenseScalar(int first_id, const float* scores,
-                                  size_t n, float threshold, int exclude_id,
-                                  Neighbor* out) {
+                                  size_t n, float threshold, Neighbor* out) {
   return FilterScalar<true>(nullptr, first_id, scores, n, threshold,
-                            exclude_id, out);
+                            /*exclude_id=*/-1, out);
 }
 
 }  // namespace
@@ -319,9 +318,9 @@ size_t FilterAtOrAbove(const int* ids, const float* scores, size_t n,
 }
 
 size_t FilterAtOrAboveDense(int first_id, const float* scores, size_t n,
-                            float threshold, int exclude_id, Neighbor* out) {
+                            float threshold, Neighbor* out) {
   return ActiveTable().filter_at_or_above_dense(first_id, scores, n,
-                                                threshold, exclude_id, out);
+                                                threshold, out);
 }
 
 float CosineI8(const float* q, const int8_t* c, size_t n, float scale,

@@ -117,9 +117,9 @@ struct Neighbor {
 size_t FilterAtOrAbove(const int* ids, const float* scores, size_t n,
                        float threshold, int exclude_id, Neighbor* out);
 
-/// FilterAtOrAbove with ids[j] = first_id + j.
+/// FilterAtOrAbove with ids[j] = first_id + j and no excluded id.
 size_t FilterAtOrAboveDense(int first_id, const float* scores, size_t n,
-                            float threshold, int exclude_id, Neighbor* out);
+                            float threshold, Neighbor* out);
 
 }  // namespace sccf::simd
 

@@ -261,10 +261,9 @@ size_t FilterAtOrAboveAvx2(const int* ids, const float* scores, size_t n,
 }
 
 size_t FilterAtOrAboveDenseAvx2(int first_id, const float* scores, size_t n,
-                                float threshold, int exclude_id,
-                                Neighbor* out) {
+                                float threshold, Neighbor* out) {
   return FilterAvx2<true>(nullptr, first_id, scores, n, threshold,
-                          exclude_id, out);
+                          /*exclude_id=*/-1, out);
 }
 
 }  // namespace

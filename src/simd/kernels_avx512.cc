@@ -245,10 +245,9 @@ size_t FilterAtOrAboveAvx512(const int* ids, const float* scores, size_t n,
 }
 
 size_t FilterAtOrAboveDenseAvx512(int first_id, const float* scores,
-                                  size_t n, float threshold, int exclude_id,
-                                  Neighbor* out) {
+                                  size_t n, float threshold, Neighbor* out) {
   return FilterAvx512<true>(nullptr, first_id, scores, n, threshold,
-                            exclude_id, out);
+                            /*exclude_id=*/-1, out);
 }
 
 }  // namespace

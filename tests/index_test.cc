@@ -299,10 +299,11 @@ TEST(BruteForceIndexTest, CosineIgnoresMagnitude) {
   EXPECT_NEAR((*r)[1].score, 1.0f, 1e-3);
 }
 
-// BruteForceIndex::Search against sort-and-truncate over the scores the
-// batched kernel gives each row, in both storage modes, with ids equal to
-// slots and not, under every SIMD variant the CPU supports. Duplicated rows
-// force exact ties across block boundaries.
+// BruteForceIndex::SearchInto, with and without a floor, against
+// sort-and-truncate over the scores the batched kernel gives each row, in
+// both storage modes, with ids equal to slots and not, under every SIMD
+// variant the CPU supports. Duplicated rows force exact ties across block
+// boundaries.
 TEST(BruteForceIndexTest, SearchMatchesSortAndTruncateOnEveryVariant) {
   const size_t n = 700, d = 16;
   Rng rng(31);
@@ -348,10 +349,11 @@ TEST(BruteForceIndexTest, SearchMatchesSortAndTruncateOnEveryVariant) {
                   all.push_back({ids[i], scores[i]});
                 }
               }
-              auto got = idx.Search(q.data(), k, exclude, floor);
-              ASSERT_TRUE(got.ok());
+              TopKAccumulator acc(k, floor);
+              ASSERT_TRUE(
+                  idx.SearchInto(q.data(), exclude, nullptr, &acc).ok());
               ExpectSameNeighbors(
-                  *got, SortedTopK(all, k),
+                  acc.Take(), SortedTopK(all, k),
                   std::string(simd::VariantName(v)) + " " +
                       quant::StorageName(storage) +
                       (slot_ids ? " slot ids" : " other ids") + " k " +

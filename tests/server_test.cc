@@ -434,6 +434,46 @@ TEST_F(ServerTest, SlowConsumerBacklogClosesOnlyItsConnection) {
   EXPECT_FALSE(server.running());
 }
 
+TEST_F(ServerTest, WriteStallTimerCountsWritesMadeWhileExecuting) {
+  auto engine = MakeEngine();
+  ServerOptions opts;
+  opts.port = 0;
+  opts.write_stall_timeout_ms = 400;
+  Server server(*engine, opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A slow reader that is never wedged: it reads one reply, sends one
+  // more request, and pauses, for several stall windows. Its tiny
+  // receive window keeps the server's socket full, so the server's
+  // writes happen mostly at the 64 KiB flush inside command execution
+  // (each new request wakes it) rather than on EPOLLOUT. Every one of
+  // those writes is progress, and the connection must survive.
+  RespClient client(server.port(), /*rcvbuf=*/4096);
+  ASSERT_TRUE(client.connected());
+  const std::string request = "RECOMMEND 0 150 WITHSEEN\r\n";
+  constexpr int kAhead = 6000;
+  std::string burst;
+  for (int i = 0; i < kAhead; ++i) burst += request;
+  client.Send(burst);
+  const std::string first = client.ReadReply();
+  ASSERT_GT(first.size(), size_t{1} << 10);
+  client.Send(request);
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1600);
+  while (std::chrono::steady_clock::now() < end) {
+    ASSERT_FALSE(client.ReadReply().empty()) << "cut as wedged";
+    client.Send(request);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < kAhead; ++i) {
+    ASSERT_FALSE(client.ReadReply().empty()) << "cut as wedged";
+  }
+
+  server.Shutdown();
+  server.Wait();
+  EXPECT_EQ(server.stats().connections_timed_out, 0u);
+}
+
 TEST_F(ServerTest, ConnectionCapRefusesLoudly) {
   auto engine = MakeEngine();
   ServerOptions opts;

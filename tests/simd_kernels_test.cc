@@ -312,8 +312,9 @@ std::vector<Neighbor> FilterReference(const std::vector<int>& ids,
 
 // Every variant writes the scalar variant's entries — the same count, the
 // same ids and the same score bits, in input order — for every length
-// 0..257 (each remainder of the 8- and 16-wide steps), both id forms, the
-// excluded id inside and outside the block, and thresholds of -inf, an
+// 0..257 (each remainder of the 8- and 16-wide steps), both id forms (the
+// explicit one with the excluded id inside and outside the block; the
+// dense one has no excluded id), and thresholds of -inf, an
 // ordinary value and +inf. `out` holds exactly n entries, so a variant's
 // full-width store past it is a heap overflow under ASan.
 TEST_F(SimdKernelsTest, FilterAtOrAboveMatchesScalarForEveryVariant) {
@@ -330,14 +331,13 @@ TEST_F(SimdKernelsTest, FilterAtOrAboveMatchesScalarForEveryVariant) {
         dense_ids[j] = kFirst + static_cast<int>(j);
       }
       const int inside = n == 0 ? 0 : static_cast<int>(rng.Uniform(n));
+      const std::vector<Neighbor> want_dense =
+          FilterReference(dense_ids, scores, threshold, /*exclude_id=*/-1);
       for (int pick = 0; pick < 2; ++pick) {
         const bool in_block = pick == 0 && n > 0;
         const int exclude = in_block ? ids[inside] : -1;
-        const int exclude_dense = in_block ? dense_ids[inside] : -1;
         const std::vector<Neighbor> want =
             FilterReference(ids, scores, threshold, exclude);
-        const std::vector<Neighbor> want_dense =
-            FilterReference(dense_ids, scores, threshold, exclude_dense);
         for (Variant v : SupportedVariants()) {
           ASSERT_TRUE(ForceVariant(v).ok());
           std::vector<Neighbor> got(n);
@@ -345,8 +345,7 @@ TEST_F(SimdKernelsTest, FilterAtOrAboveMatchesScalarForEveryVariant) {
                                      threshold, exclude, got.data()));
           std::vector<Neighbor> got_dense(n);
           got_dense.resize(FilterAtOrAboveDense(kFirst, scores.data(), n,
-                                                threshold, exclude_dense,
-                                                got_dense.data()));
+                                                threshold, got_dense.data()));
           for (const auto& [form, g, w] :
                {std::tuple{"ids", &got, &want},
                 std::tuple{"dense", &got_dense, &want_dense}}) {
